@@ -21,7 +21,7 @@ every entry: a catalog is data, not trusted code.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +67,15 @@ class CatalogEntry:
             self.children, self.rng_seed, verified=True,
         )
 
+    def reoriented(self, dims: GridDims) -> "CatalogEntry":
+        """The same witness on ``dims``, a permutation of its sides."""
+        if dims == self.dims:
+            return self
+        maps = orientations(self.dims, dims)
+        if not maps:
+            raise CatalogError(f"{self.key}: cannot reorient {self.dims} to {dims}")
+        return replace(self, dims=dims, seeds=orient_set(self.seeds, maps[0]))
+
 
 def entry_key(dims: GridDims, status: Status) -> str:
     return f"{dims.sorted()}:{str(status).lower()}"
@@ -88,16 +97,7 @@ class Catalog:
     def get(self, dims: GridDims, status: Status) -> CatalogEntry | None:
         """Entry for these dims (any axis order), reoriented to match them."""
         entry = self.entries.get(entry_key(dims, status))
-        if entry is None:
-            return None
-        if entry.dims == dims:
-            return entry
-        maps = orientations(entry.dims, dims)
-        reoriented = orient_set(entry.seeds, maps[0])
-        return CatalogEntry(
-            dims, reoriented, entry.status, entry.provenance,
-            entry.children, entry.rng_seed, entry.verified,
-        )
+        return None if entry is None else entry.reoriented(dims)
 
     def best(self, dims: GridDims, at_least: Status = Status.OPTIMAL) -> CatalogEntry | None:
         """Highest-status entry for dims meeting the floor, if any."""
@@ -203,14 +203,7 @@ class Catalog:
 
 
 def _canonicalize(entry: CatalogEntry) -> CatalogEntry:
-    canon = entry.dims.sorted()
-    if canon == entry.dims:
-        return entry
-    seeds = orient_set(entry.seeds, orientations(entry.dims, canon)[0])
-    return CatalogEntry(
-        canon, seeds, entry.status, entry.provenance,
-        entry.children, entry.rng_seed, entry.verified,
-    )
+    return entry.reoriented(entry.dims.sorted())
 
 
 def _key_order(key: str) -> tuple:

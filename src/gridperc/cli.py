@@ -34,7 +34,6 @@ from .search import (
     SearchError,
     SearchMode,
     find_at_bound,
-    min_22c,
     min_exhaustive,
 )
 

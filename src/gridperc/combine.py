@@ -35,13 +35,16 @@ class _Slot:
     offset: tuple[int, int, int]
 
 
+def octant_parts(split: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
+    """Sides of the parts p1..p4 for split ((a1, a2), (b1, b2), (c1, c2))."""
+    (a1, a2), (b1, b2), (c1, c2) = split
+    return (a1, b1, c1), (a2, b2, c1), (a2, b1, c2), (a1, b2, c2)
+
+
 def _slots(a1: int, a2: int, b1: int, b2: int, c1: int, c2: int) -> list[_Slot]:
-    return [
-        _Slot(GridDims(a1, b1, c1), (0, 0, 0)),
-        _Slot(GridDims(a2, b2, c1), (a1, b1, 0)),
-        _Slot(GridDims(a2, b1, c2), (a1, 0, c1)),
-        _Slot(GridDims(a1, b2, c2), (0, b1, c1)),
-    ]
+    offsets = ((0, 0, 0), (a1, b1, 0), (a1, 0, c1), (0, b1, c1))
+    parts = octant_parts(((a1, a2), (b1, b2), (c1, c2)))
+    return [_Slot(GridDims(*part), offset) for part, offset in zip(parts, offsets)]
 
 
 def combine(

@@ -1,30 +1,39 @@
-"""Construction pipelines: witness resolution and per-thickness case dispatch.
+"""Construction pipelines: one memoized planner over octant composition.
 
-A Builder resolves perfect and optimal witnesses for requested dimensions by
-combining, in priority order: the thickness-1 generator, the frozen catalog,
-periodic family assembly, the thickness-4 case dispatch, and a generic
-recursive splitter that assembles thicker perfect grids from four smaller
-ones, so thicker grids never need their own searched witnesses.
-Optimal grids of thickness >= 7 go through the thickness-specific case
-dispatch with its collision patches.
+``Builder.plan(dims, status)`` decides how a perfect or optimal witness for
+dims is built and returns the decision as a tree: a ``Leaf`` (thickness-1
+doubling, frozen catalog entry or periodic family) or a ``Combine`` of four
+child plans placed in the octants of a split.  Plans are memoized over sorted
+dims, so deciding that a grid is buildable and building it are one search:
+``Builder.perfect``/``optimal`` execute the plan, and every witness they
+return has been verified by simulation.
 
-Every resolved witness is simulation-verified; a grid that no route reaches
-raises DependencyError naming the exact missing ingredient.
+The paper's routes are the splits tried first: the thickness-4 congruence
+splits with a1 = a2 = 2, the thickness-7/8/9 offsets with their collision
+patch, and (6,7,7) as (3+3, 4+3, 4+3).  The generic search follows.  A
+perfect plan tries every split middle-out and skips one unless 3 divides the
+surface of each part.  An optimal plan is the perfect plan when the bound is
+an integer, else a catalog entry, else an optimal corner combined with three
+perfect parts, over all corners.  A grid no route reaches raises
+DependencyError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 from .bounds import Status, surface_sum
 from .catalog import Catalog, CatalogEntry, builtin_catalog, entry_key
-from .combine import combine, thickness1_entry
+from .combine import combine, octant_parts, thickness1_entry
 from .families import FAMILY_SPECS, FamilyPattern, assemble_family, builtin_patterns
-from .grid import GridDims, orient_set, orientations
+from .grid import GridDims
+
+Split = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 class DependencyError(RuntimeError):
-    """A required ingredient grid cannot be produced; names the grid."""
+    """No route produces a witness for the requested grid; names the grid."""
 
     def __init__(self, dims: GridDims, status: Status, detail: str = ""):
         self.dims = dims
@@ -33,373 +42,196 @@ class DependencyError(RuntimeError):
         super().__init__(f"no {str(status).lower()} witness available for {dims}{suffix}")
 
 
-def _is_pow2_minus1(v: int) -> bool:
-    return v >= 1 and (v + 1) & v == 0
+@dataclass(frozen=True)
+class Leaf:
+    """A witness used whole: ``route`` is "thickness1" (``arg`` = k),
+    "catalog", or "family" (``arg`` = (family id, c))."""
+
+    dims: GridDims
+    status: Status
+    route: str
+    arg: object = None
 
 
-def _splits(n: int):
-    return ((i, n - i) for i in range(1, n))
+@dataclass(frozen=True)
+class Combine:
+    """Child plans for the four octant parts of ``split``, origin part first."""
+
+    dims: GridDims
+    status: Status
+    split: Split
+    children: tuple[Plan, Plan, Plan, Plan]
+
+
+Plan = Leaf | Combine
 
 
 @dataclass
 class Builder:
-    """Memoized witness resolution over a catalog and a family pattern store."""
+    """Memoized planning and witness resolution over a catalog and family patterns."""
 
     catalog: Catalog = field(default_factory=builtin_catalog)
     patterns: dict[str, FamilyPattern] = field(default_factory=builtin_patterns)
 
     def __post_init__(self) -> None:
-        self._feasible: dict[tuple, bool] = {}
+        self._plans: dict[tuple[tuple[int, int, int], Status], Plan | None] = {}
         self._resolved: dict[str, CatalogEntry] = {}
 
-    # --- public pipeline entry points ------------------------------------
-
     def perfect(self, dims: GridDims) -> CatalogEntry:
-        """A verified perfect witness for dims, reoriented to match them."""
-        entry = self._perfect_canonical(dims.sorted())
-        return self._reorient(entry, dims)
+        """A verified perfect witness for dims, oriented to match them."""
+        return self._build(dims, Status.PERFECT)
 
     def optimal(self, dims: GridDims) -> CatalogEntry:
         """A verified witness of status >= Optimal for dims."""
-        entry = self._optimal_canonical(dims.sorted())
-        return self._reorient(entry, dims)
+        return self._build(dims, Status.OPTIMAL)
 
     def build_perfect_4(self, b: int, c: int) -> CatalogEntry:
         """Thickness-4 perfect witness for (4, b, c), b <= c (swapped if not).
 
-        Dispatch: b in {4, 7} uses the periodic families; b, c in {6, 9} the
-        sporadic witnesses; larger grids split as (2+2, b1+b2, c1+c2) with
-        thickness-2 ingredients chosen by the congruence and parity of b, c.
+        Admissible when b >= 4 and b ≡ c ≡ 0 or 1 (mod 3); the planner tries
+        the paper's (2+2, b1+b2, c1+c2) congruence split first.
         """
-        if b > c:
-            b, c = c, b
+        b, c = sorted((b, c))
         if b < 4:
             raise DependencyError(GridDims(4, b, c), Status.PERFECT, "needs b >= 4")
-        if not (b % 3 == c % 3 and b % 3 in (0, 1)):
-            raise DependencyError(
-                GridDims(4, b, c), Status.PERFECT,
-                "needs b ≡ c ≡ 0 or 1 (mod 3)",
-            )
-        dims = GridDims(4, b, c)
-
-        if b in (4, 7):
-            return self._reorient(self._perfect_leafy(dims.sorted()), dims)
-        if b in (6, 9) and c in (6, 9):
-            if (b, c) == (6, 6):
-                # recursive route via (1+3, 3+3, 3+3)
-                return combine(
-                    self.perfect(GridDims(1, 3, 3)),
-                    self.perfect(GridDims(3, 3, 3)),
-                    self.perfect(GridDims(3, 3, 3)),
-                    self.perfect(GridDims(1, 3, 3)),
-                )
-            return self._reorient(self._perfect_leafy(dims.sorted()), dims)
-
-        # c >= 10 from here; split b and c, keep a1 = a2 = 2
-        if b % 3 == 0:
-            if b == 6:
-                b1, c1 = 3, 6
-            elif b % 2 != c % 2:
-                b1, c1 = 6, 6
-            else:
-                b1, c1 = 3, 6
-        else:
-            if (b, c) == (10, 10):
-                b1, c1 = 5, 5
-            elif b % 2 == c % 2:
-                b1, c1 = 5, 8
-            else:
-                b1, c1 = 5, 5
-        b2, c2 = b - b1, c - c1
-        return combine(
-            self.perfect(GridDims(2, b1, c1)),
-            self.perfect(GridDims(2, b2, c1)),
-            self.perfect(GridDims(2, b1, c2)),
-            self.perfect(GridDims(2, b2, c2)),
-        )
+        return self.perfect(GridDims(4, b, c))
 
     def build_optimal(self, a: int, b: int, c: int) -> CatalogEntry:
-        """Optimal witness for thickness >= 7, per-thickness case dispatch."""
-        a, b, c = sorted((a, b, c))
-        if a < 7:
-            raise DependencyError(GridDims(a, b, c), Status.OPTIMAL, "needs thickness >= 7")
-        dims = GridDims(a, b, c)
-        if a == 7:
-            return self._reorient(self._optimal_7(b, c), dims)
-        if a == 8:
-            return self._reorient(self._optimal_8(b, c), dims)
-        if a == 9:
-            return self._reorient(self._optimal_9(b, c), dims)
-        return self._reorient(self._optimal_generic(a, b, c), dims)
+        """Optimal witness for thickness >= 7, on the sorted dims."""
+        dims = GridDims(*sorted((a, b, c)))
+        if dims.a < 7:
+            raise DependencyError(dims, Status.OPTIMAL, "needs thickness >= 7")
+        return self.optimal(dims)
 
-    # --- thickness-specific optimal dispatch ------------------------------
+    def plan(self, dims: GridDims, status: Status) -> Plan | None:
+        """How to build a witness of status (Perfect or Optimal) for the
+        sorted dims, or None when no route exists."""
+        if status not in (Status.PERFECT, Status.OPTIMAL):
+            raise ValueError(f"plans exist for Perfect and Optimal witnesses, not {status}")
+        return self._plan(dims.sorted().as_tuple(), status)
 
-    def _optimal_7(self, b: int, c: int) -> CatalogEntry:
-        dims = GridDims(7, b, c)
-        if b % 3 == c % 3 and b % 3 in (0, 1):
-            return self.perfect(dims)
-        if b == 7 and c % 6 == 5:
-            # (7,7,c): both splits are (4,3); pick c1 by the size of c
-            if c == 11:
-                c1 = 5
-            elif c >= 17:
-                c1 = 8
-            else:
-                raise DependencyError(dims, Status.OPTIMAL, "no (7,7,c) route for this c")
-            c2 = c - c1
-            return combine(
-                self.optimal(GridDims(4, 4, c1)),
-                self.perfect(GridDims(3, 3, c1)),
-                self.perfect(GridDims(3, 4, c2)),
-                self.perfect(GridDims(4, 3, c2)),
-            )
-        b1 = _pick_offset(b)
-        c1 = _pick_offset(c)
-        b2, c2 = b - b1, c - c1
-        if b2 == 3 and c1 == 2:
-            # collision: (3, b2, c1) would be the non-perfect (2,3,3)
-            b1, b2 = b - 6, 6
-        return combine(
-            self.optimal(GridDims(4, b1, c1)),
-            self.perfect(GridDims(3, b2, c1)),
-            self.perfect(GridDims(3, b1, c2)),
-            self.perfect(GridDims(4, b2, c2)),
-        )
+    def _build(self, dims: GridDims, status: Status) -> CatalogEntry:
+        plan = self.plan(dims, status)
+        if plan is None:
+            integral = surface_sum(dims) % 3 == 0
+            detail = "bound is not an integer" if status is Status.PERFECT and not integral else ""
+            raise DependencyError(dims, status, detail)
+        return self._execute(plan).reoriented(dims)
 
-    def _optimal_8(self, b: int, c: int) -> CatalogEntry:
-        dims = GridDims(8, b, c)
-        if b % 3 == c % 3 and b % 3 in (0, 2):
-            return self.perfect(dims)
-        b1 = _pick_offset(b)
-        c1 = _pick_offset(c)
-        b2, c2 = b - b1, c - c1
-        if b2 == 3 and c1 == 2:
-            b1, b2 = b - 6, 6
-        return combine(
-            self.optimal(GridDims(5, b1, c1)),
-            self.perfect(GridDims(3, b2, c1)),
-            self.perfect(GridDims(3, b1, c2)),
-            self.perfect(GridDims(5, b2, c2)),
-        )
-
-    def _optimal_9(self, b: int, c: int) -> CatalogEntry:
-        dims = GridDims(9, b, c)
-        if b % 3 == 0 or c % 3 == 0:
-            return self.perfect(dims)
-        b1 = _pick_offset(b, allowed=(2, 4, 5, 7))
-        c1 = _pick_offset(c, allowed=(2, 4, 5, 7))
-        b2, c2 = b - b1, c - c1
-        if b2 == 3 and c1 == 2:
-            b1, b2 = b - 6, 6
-        return combine(
-            self.optimal(GridDims(6, b1, c1)),
-            self.perfect(GridDims(3, b2, c1)),
-            self.perfect(GridDims(3, b1, c2)),
-            self.perfect(GridDims(6, b2, c2)),
-        )
-
-    def _optimal_generic(self, a: int, b: int, c: int) -> CatalogEntry:
-        """Thickness >= 10: one small optimal corner plus three perfect parts."""
-        dims = GridDims(a, b, c)
-        if surface_sum(dims) % 3 == 0 and self._can_perfect(dims.as_tuple()):
-            return self.perfect(dims)
-        for a1 in (4, 5, 6, 7):
-            for b1 in range(2, min(11, b - 1)):
-                for c1 in range(2, min(11, c - 1)):
-                    parts = (
-                        GridDims(a - a1, b - b1, c1),
-                        GridDims(a - a1, b1, c - c1),
-                        GridDims(a1, b - b1, c - c1),
-                    )
-                    if not all(
-                        surface_sum(p) % 3 == 0 and self._can_perfect(p.sorted().as_tuple())
-                        for p in parts
-                    ):
-                        continue
-                    corner = GridDims(a1, b1, c1)
-                    if not self._can_optimal(corner.sorted().as_tuple()):
-                        continue
-                    return combine(
-                        self.optimal(corner),
-                        self.perfect(parts[0]),
-                        self.perfect(parts[1]),
-                        self.perfect(parts[2]),
-                    )
-        raise DependencyError(dims, Status.OPTIMAL, "no feasible corner split found")
-
-    # --- perfect resolution ------------------------------------------------
-
-    def _perfect_canonical(self, dims: GridDims) -> CatalogEntry:
-        key = entry_key(dims, Status.PERFECT)
+    def _execute(self, plan: Plan) -> CatalogEntry:
+        key = entry_key(plan.dims, plan.status)
         if key in self._resolved:
             return self._resolved[key]
-        if surface_sum(dims) % 3 != 0:
-            raise DependencyError(dims, Status.PERFECT, "bound is not an integer")
-        a, b, c = dims.as_tuple()
-
-        entry = None
-        if a == 1:
-            if b == c and _is_pow2_minus1(b):
-                entry = thickness1_entry(b.bit_length())
-            else:
-                raise DependencyError(dims, Status.PERFECT, "thickness-1 grids need b = c = 2^k - 1")
-        if entry is None:
-            entry = self._perfect_leafy_or_none(dims)
-        if entry is None and a == 4 and b >= 4:
-            entry = self.build_perfect_4(b, c)
-        if entry is None:
-            entry = self._perfect_split(dims)
-        if entry is None:
-            raise DependencyError(dims, Status.PERFECT)
-        entry = entry if entry.verified else entry.verify()
-        self._resolved[key] = self._reorient(entry, dims)
-        return self._resolved[key]
-
-    def _perfect_leafy_or_none(self, dims: GridDims) -> CatalogEntry | None:
-        hit = self.catalog.get(dims, Status.PERFECT)
-        if hit is not None:
-            return hit.verify() if not hit.verified else hit
-        fid_c = _family_match(dims)
-        if fid_c is not None:
-            fid, c = fid_c
-            if fid in self.patterns:
-                entry = assemble_family(self.patterns[fid], c)
-                maps = orientations(entry.dims, dims)
-                if entry.dims != dims:
-                    entry = CatalogEntry(
-                        dims, orient_set(entry.seeds, maps[0]), entry.status,
-                        entry.provenance, entry.children, entry.rng_seed, entry.verified,
-                    )
-                return entry
-        return None
-
-    def _perfect_leafy(self, dims: GridDims) -> CatalogEntry:
-        entry = self._perfect_leafy_or_none(dims)
-        if entry is None:
-            raise DependencyError(dims, Status.PERFECT, "not in catalog or families")
+        if isinstance(plan, Combine):
+            parts = octant_parts(plan.split)
+            entry = combine(*(
+                self._execute(child).reoriented(GridDims(*part))
+                for child, part in zip(plan.children, parts)
+            ))
+        elif plan.route == "thickness1":
+            entry = thickness1_entry(plan.arg)
+        elif plan.route == "family":
+            fid, c = plan.arg
+            entry = assemble_family(self.patterns[fid], c).reoriented(plan.dims)
+        else:
+            entry = self.catalog.get(plan.dims, plan.status)
+            entry = entry if entry.verified else entry.verify()
+        self._resolved[key] = entry
         return entry
 
-    def _perfect_split(self, dims: GridDims) -> CatalogEntry | None:
-        split = self._feasible_split(dims.as_tuple())
-        if split is None:
-            return None
-        (a1, a2), (b1, b2), (c1, c2) = split
-        return combine(
-            self.perfect(GridDims(a1, b1, c1)),
-            self.perfect(GridDims(a2, b2, c1)),
-            self.perfect(GridDims(a2, b1, c2)),
-            self.perfect(GridDims(a1, b2, c2)),
-        )
+    def _plan(self, t: tuple[int, int, int], status: Status) -> Plan | None:
+        key = (t, status)
+        if key not in self._plans:
+            # parts are strictly smaller than the whole, so no cycle can occur
+            self._plans[key] = self._search(t, status)
+        return self._plans[key]
 
-    # --- arithmetic feasibility (no witnesses built) -----------------------
-
-    def _can_perfect(self, t: tuple[int, int, int]) -> bool:
-        t = tuple(sorted(t))
-        cached = self._feasible.get(("p", t))
-        if cached is not None:
-            return cached
-        self._feasible[("p", t)] = False  # cycle guard; splits shrink, so none occur
-        result = self._can_perfect_uncached(t)
-        self._feasible[("p", t)] = result
-        return result
-
-    def _can_perfect_uncached(self, t: tuple[int, int, int]) -> bool:
-        dims = GridDims(*t)
+    def _search(self, t: tuple[int, int, int], status: Status) -> Plan | None:
         a, b, c = t
-        if (a * b + a * c + b * c) % 3 != 0:
-            return False
-        if a == 1:
-            return b == c and _is_pow2_minus1(b)
-        if entry_key(dims, Status.PERFECT) in self.catalog.entries:
-            return True
-        fid_c = _family_match(dims)
-        if fid_c is not None and fid_c[0] in self.patterns:
-            return True
-        return self._feasible_split(t) is not None
-
-    def _feasible_split(self, t: tuple[int, int, int]):
-        a, b, c = t
-        for a1, a2 in _splits(a):
-            for b1, b2 in _splits(b):
-                for c1, c2 in _splits(c):
-                    parts = (
-                        (a1, b1, c1), (a2, b2, c1), (a2, b1, c2), (a1, b2, c2),
-                    )
-                    if all(self._can_perfect(p) for p in parts):
-                        return ((a1, a2), (b1, b2), (c1, c2))
+        dims = GridDims(a, b, c)
+        integral = (a * b + a * c + b * c) % 3 == 0
+        if status is Status.OPTIMAL and integral:
+            return self._plan(t, Status.PERFECT)
+        if status is Status.PERFECT:
+            if not integral:
+                return None
+            if a == 1 and b == c and (b + 1) & b == 0:
+                return Leaf(dims, status, "thickness1", b.bit_length())
+        if entry_key(dims, status) in self.catalog.entries:
+            return Leaf(dims, status, "catalog")
+        family = _family_match(t, self.patterns) if status is Status.PERFECT else None
+        if family is not None:
+            return Leaf(dims, status, "family", family)
+        for split in chain(_paper_splits(t, status), _generic_splits(t, status)):
+            parts = octant_parts(split)
+            # the origin part's surface is then ≡ the whole's (mod 3)
+            if any((x * y + x * z + y * z) % 3 for x, y, z in parts[1:]):
+                continue
+            children = []
+            for part, part_status in zip(parts[::-1], (Status.PERFECT,) * 3 + (status,)):
+                child = self._plan(tuple(sorted(part)), part_status)
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                return Combine(dims, status, split, tuple(children[::-1]))
         return None
 
-    def _can_optimal(self, t: tuple[int, int, int]) -> bool:
-        dims = GridDims(*t)
-        if surface_sum(dims) % 3 == 0 and self._can_perfect(t):
-            return True
-        if entry_key(dims, Status.OPTIMAL) in self.catalog.entries:
-            return True
-        return t == (6, 7, 7)
 
-    # --- optimal resolution -------------------------------------------------
-
-    def _optimal_canonical(self, dims: GridDims) -> CatalogEntry:
-        for status in (Status.PERFECT, Status.OPTIMAL):
-            key = entry_key(dims, status)
-            if key in self._resolved:
-                return self._resolved[key]
-        a, b, c = dims.as_tuple()
-        if surface_sum(dims) % 3 == 0 and self._can_perfect(dims.as_tuple()):
-            return self._perfect_canonical(dims)
-        hit = self.catalog.get(dims, Status.OPTIMAL)
-        if hit is not None:
-            entry = hit.verify() if not hit.verified else hit
-            self._resolved[entry_key(dims, Status.OPTIMAL)] = entry
-            return entry
-        if dims.as_tuple() == (6, 7, 7):
-            entry = combine(
-                self.optimal(GridDims(3, 4, 4)),
-                self.perfect(GridDims(3, 3, 4)),
-                self.perfect(GridDims(3, 4, 3)),
-                self.perfect(GridDims(3, 3, 3)),
-            )
-            self._resolved[entry_key(dims, Status.OPTIMAL)] = entry
-            return entry
-        if a >= 7:
-            entry = self.build_optimal(a, b, c)
-            self._resolved[entry_key(dims, Status.OPTIMAL)] = entry
-            return entry
-        raise DependencyError(dims, Status.OPTIMAL)
-
-    # --- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _reorient(entry: CatalogEntry, dims: GridDims) -> CatalogEntry:
-        if entry.dims == dims:
-            return entry
-        maps = orientations(entry.dims, dims)
-        if not maps:
-            raise DependencyError(dims, entry.status, f"cannot reorient {entry.dims}")
-        return CatalogEntry(
-            dims, orient_set(entry.seeds, maps[0]), entry.status,
-            entry.provenance, entry.children, entry.rng_seed, entry.verified,
-        )
+def _paper_splits(t: tuple[int, int, int], status: Status) -> list[Split]:
+    """The paper's split for t, if it has one; tried before the generic search."""
+    a, b, c = t
+    if status is Status.PERFECT:
+        if t == (4, 6, 6):
+            return [((1, 3), (3, 3), (3, 3))]
+        if a == 4 and b > 4 and c >= 10:
+            # thickness-2 parts, chosen by the congruence and parity of b, c
+            if b % 3 == 0:
+                b1, c1 = (6, 6) if b != 6 and b % 2 != c % 2 else (3, 6)
+            else:
+                b1, c1 = (5, 8) if b % 2 == c % 2 and (b, c) != (10, 10) else (5, 5)
+            return [((2, 2), (b1, b - b1), (c1, c - c1))]
+        return []
+    if t == (6, 7, 7):
+        return [((3, 3), (4, 3), (4, 3))]
+    if a == b == 7 and c % 6 == 5:
+        c1 = 5 if c == 11 else 8
+        return [((4, 3), (4, 3), (c1, c - c1))]
+    if 7 <= a <= 9:
+        # an optimal (a-3, b1, c1) corner; b - b1 ≡ c - c1 ≡ 3 (mod 6)
+        allowed = (2, 4, 5, 7) if a == 9 else range(2, 8)
+        b1, c1 = (next(v for v in allowed if (x - v) % 6 == 3) for x in (b, c))
+        if b - b1 == 3 and c1 == 2:
+            b1 -= 3  # collision: (3, b2, c1) would be the non-perfect (2,3,3)
+        return [((a - 3, 3), (b1, b - b1), (c1, c - c1))]
+    return []
 
 
-def _pick_offset(v: int, allowed: tuple[int, ...] = (2, 3, 4, 5, 6, 7)) -> int:
-    """The unique b1 in the allowed window with v - b1 ≡ 3 (mod 6)."""
-    for b1 in allowed:
-        if (v - b1) % 6 == 3:
-            return b1
-    raise DependencyError(
-        GridDims(1, 1, v), Status.OPTIMAL, f"no offset for {v} in {allowed}"
-    )
+def _generic_splits(t: tuple[int, int, int], status: Status):
+    """Every split of t, middle-out on each axis.
+
+    Swapping the halves of two axes permutes the four parts, so a perfect
+    plan needs only a1 <= a2 and b1 <= b2; an optimal one, whose origin part
+    is special, tries every corner.
+    """
+    a, b, c = t
+    if status is Status.PERFECT:
+        firsts = (range(a // 2, 0, -1), range(b // 2, 0, -1), _middle_out(c))
+    else:
+        firsts = (_middle_out(a), _middle_out(b), _middle_out(c))
+    for a1, b1, c1 in product(*firsts):
+        yield (a1, a - a1), (b1, b - b1), (c1, c - c1)
 
 
-def _family_match(dims: GridDims) -> tuple[str, int] | None:
+def _middle_out(n: int) -> list[int]:
+    return sorted(range(1, n), key=lambda i: abs(2 * i - n))
+
+
+def _family_match(t: tuple[int, int, int], patterns: dict[str, FamilyPattern]) -> tuple[str, int] | None:
     """Family id and parameter c when some axis pairing matches a family."""
-    t = dims.as_tuple()
-    pairings = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    for i, j, k in pairings:
-        section = tuple(sorted((t[i], t[j])))
-        c = t[k]
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        section, c = (t[i], t[j]), t[k]
         for fid, (fa, fb, residue, min_c) in FAMILY_SPECS.items():
-            if section == (fa, fb) and c % 6 == residue and c >= min_c:
+            if fid in patterns and section == (fa, fb) and c % 6 == residue and c >= min_c:
                 return fid, c
     return None

@@ -77,7 +77,7 @@ def test_criterion_2_monotone_surface_quantity():
 
 def test_criterion_3_oracle_values():
     with _report(3, "exhaustive minima: (2,3,3)->8, (1,3,3)->5, (3,3,3)->9, "
-                    "(2,2,c)->ceil((3c+1)/2) for c in 2..5"):
+                    "(2,2,c)->min_22c(c) = 4, 6, 7, 8 for c in 2..5"):
         mismatches = []
         for dims_t, expected in [((2, 3, 3), 8), ((1, 3, 3), 5), ((3, 3, 3), 9)]:
             got = min_exhaustive(GridDims(*dims_t)).min_size

@@ -70,6 +70,8 @@ def test_catalog_canonicalizes_dims():
     assert reoriented is not None
     assert reoriented.dims == GridDims(3, 3, 1)
     assert reoriented.verify().verified
+    with pytest.raises(CatalogError):
+        stored.reoriented(GridDims(1, 3, 4))
 
 
 @pytest.mark.parametrize(

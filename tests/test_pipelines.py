@@ -2,7 +2,7 @@ import pytest
 
 from gridperc.bounds import Status, classify, lower_bound, surface_sum
 from gridperc.grid import GridDims
-from gridperc.pipelines import Builder, DependencyError
+from gridperc.pipelines import Builder, Combine, DependencyError
 
 
 def test_perfect_resolves_thickness1(builder):
@@ -104,3 +104,60 @@ def test_perfect_thickness5_substitute(builder):
     assert classify(entry.dims, entry.seeds).status is Status.PERFECT
     entry = builder.perfect(GridDims(5, 6, 9))
     assert classify(entry.dims, entry.seeds).status is Status.PERFECT
+
+
+def _agreement_grids():
+    """a <= b <= c <= 12 with an integer bound, then (4, b, c) up to c = 30."""
+    grids = [
+        (a, b, c) for a in range(1, 13) for b in range(a, 13) for c in range(b, 13)
+    ]
+    grids += [(4, b, c) for c in range(13, 31) for b in range(4, c + 1)]
+    return [d for d in grids if surface_sum(GridDims(*d)) % 3 == 0]
+
+
+def test_plan_agrees_with_builder(builder):
+    # deciding that a grid is buildable and building it are one search
+    for d in _agreement_grids():
+        dims = GridDims(*d)
+        planned = builder.plan(dims, Status.PERFECT) is not None
+        try:
+            entry = builder.perfect(dims)
+        except DependencyError:
+            built = False
+        else:
+            built = entry.dims == dims and 3 * entry.size == surface_sum(dims)
+        assert planned == built, d
+
+
+@pytest.mark.parametrize(
+    "dims", [(20, 20, 21), (20, 21, 22), (30, 31, 32), (4, 6, 18)]
+)
+def test_former_gaps_build(builder, dims):
+    dims = GridDims(*dims)
+    entry = builder.optimal(dims)
+    assert entry.size == lower_bound(dims)[1]
+    assert classify(entry.dims, entry.seeds).status >= Status.OPTIMAL
+
+
+def test_plan_reaches_cube_40(builder):
+    plan = builder.plan(GridDims(40, 40, 40), Status.OPTIMAL)
+    assert isinstance(plan, Combine)
+    assert plan.status is Status.PERFECT
+
+
+@pytest.mark.parametrize(
+    "build,children",
+    [
+        (lambda b: b.build_perfect_4(9, 12),
+         ("2x6x6:perfect", "2x3x6:perfect", "2x6x6:perfect", "2x3x6:perfect")),
+        (lambda b: b.build_optimal(7, 7, 11),
+         ("4x4x5:optimal", "3x3x5:perfect", "3x4x6:perfect", "3x4x6:perfect")),
+        (lambda b: b.optimal(GridDims(6, 7, 7)),
+         ("3x4x4:optimal", "3x3x4:perfect", "3x3x4:perfect", "3x3x3:perfect")),
+    ],
+    ids=["perfect-4x9x12", "optimal-7x7x11", "optimal-6x7x7"],
+)
+def test_paper_routes_are_preferred(builder, build, children):
+    entry = build(builder)
+    assert entry.provenance == "combined"
+    assert entry.children == children
