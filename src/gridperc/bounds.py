@@ -9,11 +9,12 @@ exact (integers / Fraction): no floats anywhere near the bound.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .engine import PercolationTrace, degree_pair_sum, percolate
-from .grid import CellSet, GridDims
+from .engine import PercolationTrace, degree_pair_sum, fixed_point_mask, percolate
+from .grid import CellSet, GridDims, GridError, mask_indices
 
 
 class Status(enum.IntEnum):
@@ -68,7 +69,8 @@ class Classification:
 
     ``status`` speaks only about this set: OPTIMAL means the set's size equals
     the ceiling of the bound, not that no smaller set exists (grid-level
-    minimality is the search module's job).
+    minimality is the search module's job).  The status comes from the
+    untraced fixed point; ``trace`` is simulated the first time it is read.
     """
 
     dims: GridDims
@@ -77,16 +79,27 @@ class Classification:
     lower_bound_exact: Fraction
     lower_bound_ceil: int
     status: Status
-    trace: PercolationTrace
+    seeds: CellSet = field(repr=False)
+    r: int = field(repr=False)
+    max_steps: int | None = field(repr=False)
+    final: CellSet = field(repr=False)
+    steps_taken: int = field(repr=False)
+
+    @cached_property
+    def trace(self) -> PercolationTrace:
+        return percolate(self.dims, self.r, self.seeds, self.max_steps)
 
 
 def classify(dims: GridDims, seeds: CellSet, r: int = 3, max_steps: int | None = None) -> Classification:
     """Simulate and classify.  Truncation raises (never silently NotPercolating)."""
-    trace = percolate(dims, r, seeds, max_steps)
+    if seeds.dims != dims:
+        raise GridError("seed set belongs to a different grid")
+    final, steps = fixed_point_mask(dims, r, seeds.mask, max_steps)
+    percolates = final == (1 << dims.volume) - 1
     size = len(seeds)
     exact, ceil = lower_bound(dims)
     s = surface_sum(dims)
-    if not trace.percolated:
+    if not percolates:
         status = Status.NOT_PERCOLATING
     elif 3 * size == s:
         status = Status.PERFECT
@@ -96,12 +109,16 @@ def classify(dims: GridDims, seeds: CellSet, r: int = 3, max_steps: int | None =
         status = Status.PERCOLATING
     return Classification(
         dims=dims,
-        percolates=trace.percolated,
+        percolates=percolates,
         size=size,
         lower_bound_exact=exact,
         lower_bound_ceil=ceil,
         status=status,
-        trace=trace,
+        seeds=seeds,
+        r=r,
+        max_steps=max_steps,
+        final=CellSet(dims, final),
+        steps_taken=steps,
     )
 
 
@@ -129,34 +146,18 @@ class AuditReport:
 
 
 def perfect_audit(trace: PercolationTrace, seeds: CellSet) -> AuditReport:
-    """Check the three equality conditions on a finished r=3 trace."""
-    dims = trace.dims
-    independent = degree_pair_sum(dims, seeds) == 0
+    """Check the three equality conditions on a finished r=3 trace.
 
-    excess = []
-    for i, t in enumerate(trace.infection_time):
-        if t is not None and t >= 1 and trace.neighbours_at_infection[i] != 3:
-            excess.append(i)
-
-    adjacent_pairs = []
-    times = trace.infection_time
-    bc = dims.b * dims.c
-    c = dims.c
-    for i, t in enumerate(times):
-        if t is None or t == 0:
-            continue
-        # only +direction neighbours, so each pair is reported once
-        candidates = []
-        if (i + 1) % c != 0:
-            candidates.append(i + 1)
-        if (i % bc) // c < dims.b - 1:
-            candidates.append(i + c)
-        if i // bc < dims.a - 1:
-            candidates.append(i + bc)
-        for j in candidates:
-            if times[j] == t:
-                adjacent_pairs.append((i, j))
-
+    Each condition is a test on a mask: the seeds' internal edges, and the
+    excess and same-step masks the trace keeps; the cell lists are built only
+    for a condition that fails.
+    """
+    independent = degree_pair_sum(trace.dims, seeds) == 0
+    excess = mask_indices(trace.excess_mask)
+    # increasing i, then the +z, +y, +x neighbour: offsets grow in that order
+    adjacent_pairs = sorted(
+        (i, i + shift) for shift, plane in trace.adjacent_masks for i in mask_indices(plane)
+    )
     return AuditReport(
         seeds_independent=independent,
         all_exactly_three=not excess,

@@ -89,20 +89,19 @@ def cmd_bound(args) -> int:
 def cmd_simulate(args) -> int:
     dims, seeds = _read_seed_file(args.seedfile)
     result = classify(dims, seeds, r=args.r, max_steps=args.max_steps)
-    trace = result.trace
     record = {
         "record": "simulate",
         "dims": str(dims),
         "size": result.size,
-        "steps": trace.steps_taken,
+        "steps": result.steps_taken,
         "percolated": result.percolates,
         "status": str(result.status),
     }
     _emit(args, record,
           f"{dims}: {result.size} seeds, {'percolated' if result.percolates else 'stuck'} "
-          f"after {trace.steps_taken} steps, status {result.status}")
+          f"after {result.steps_taken} steps, status {result.status}")
     if not args.machine and args.trace:
-        print(render_trace(trace), end="")
+        print(render_trace(result.trace), end="")
     return EXIT_OK if result.percolates else EXIT_FAILED
 
 

@@ -113,7 +113,7 @@ def combine(
             return entry
         last_diag = (
             f"orientation try {tried}: status {result.status}, "
-            f"{len(result.trace.never_infected())} cells never infected"
+            f"{target.volume - len(result.final)} cells never infected"
         )
     raise CombineError(
         f"no orientation combination percolated for {target} "

@@ -3,16 +3,19 @@
 One step infects, simultaneously, every cell with at least ``r`` infected
 neighbours; infection is permanent.  The engine works on int bitsets: the six
 axis neighbours of every cell are reached with two shifts per axis, and the
-"has >= r infected neighbours" test is a bit-sliced saturating counter, so a
-step costs a handful of big-int operations regardless of grid size.
+neighbour counts of all cells are three bit planes filled by a bit-sliced
+adder, so a step costs a handful of big-int operations regardless of grid
+size.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .grid import CellSet, GridDims, GridError
+from .grid import CellSet, GridDims, GridError, mask_indices
 
 
 class SimulationTruncated(RuntimeError):
@@ -53,20 +56,47 @@ def _shift_plan(dims: GridDims) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-def _eligible(mask: int, plan: tuple[tuple[int, int], ...], r: int) -> int:
-    """Cells with at least r neighbours set in ``mask`` (bit-sliced count)."""
-    acc = [0] * r
+def _count_planes(mask: int, plan: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``.
+
+    A ripple-carry adder over the six shifted masks; a count is at most 6, so
+    three planes never overflow.
+    """
+    b0 = b1 = b2 = 0
     for shift, keep in plan:
         nb = (mask << shift) & keep if shift > 0 else (mask >> -shift) & keep
-        for k in range(r - 1, 0, -1):
-            acc[k] |= acc[k - 1] & nb
-        acc[0] |= nb
-    return acc[r - 1]
+        carry = b0 & nb
+        b0 ^= nb
+        b2 |= b1 & carry
+        b1 ^= carry
+    return b0, b1, b2
+
+
+def _at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
+    """Cells whose count, bit k in ``planes[k]``, is at least r.
+
+    Compared from the low bit up; below the lowest set bit of r every count
+    qualifies, so no operation is spent there.
+    """
+    if r >= 8:
+        return 0
+    out = None
+    for k, plane in enumerate(planes):
+        if r >> k & 1:
+            out = plane if out is None else plane & out
+        elif out is not None:
+            out = plane | out
+    return full if out is None else out
+
+
+def _eligible(mask: int, plan: tuple[tuple[int, int], ...], r: int, full: int) -> int:
+    """Cells with at least r neighbours set in ``mask``."""
+    return _at_least(r, _count_planes(mask, plan), full)
 
 
 def step_mask(dims: GridDims, r: int, mask: int) -> int:
     """One synchronous step on a raw bitset."""
-    return mask | _eligible(mask, _shift_plan(dims), r)
+    return mask | _eligible(mask, _shift_plan(dims), r, (1 << dims.volume) - 1)
 
 
 def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = None) -> tuple[int, int]:
@@ -76,9 +106,10 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
     """
     limit = dims.volume if max_steps is None else max_steps
     plan = _shift_plan(dims)
+    full = (1 << dims.volume) - 1
     steps = 0
     while True:
-        nxt = mask | _eligible(mask, plan, r)
+        nxt = mask | _eligible(mask, plan, r, full)
         if nxt == mask:
             return mask, steps
         if steps >= limit:
@@ -94,6 +125,30 @@ def step(dims: GridDims, r: int, current: CellSet) -> CellSet:
     return CellSet(dims, step_mask(dims, r, current.mask))
 
 
+# byte width of a lane -> (text encoding that widens one character to it, array code)
+_LANE_FORMATS = {1: ("ascii", "B"), 2: ("utf-16-le", "H"), 4: ("utf-32-le", "I")}
+_ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _cell_values(planes: list[int], n: int) -> list[int]:
+    """Per-cell integers whose bit k is the cell's bit in ``planes[k]``.
+
+    Each plane is written as one '0'/'1' character per cell, widened to a
+    1-, 2- or 4-byte lane by a text encoding and summed into one big int, so
+    the work is C-level and linear in n for each plane.
+    """
+    width = 1 if len(planes) <= 8 else 2 if len(planes) <= 16 else 4
+    encoding, code = _LANE_FORMATS[width]
+    total = 0
+    for k, plane in enumerate(planes):
+        digits = format(plane, f"0{n}b")[::-1].encode(encoding).translate(_ASCII_BIT)
+        total |= int.from_bytes(digits, "little") << k
+    values = array(code, total.to_bytes(n * width, "little"))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
+
+
 @dataclass(frozen=True)
 class PercolationTrace:
     """Full history of one simulation plus per-cell audit quantities.
@@ -102,6 +157,11 @@ class PercolationTrace:
     ``neighbours_at_infection[i]`` counts neighbours infected strictly before
     the cell turned (0 for seeds): simultaneous adjacent infections do not see
     each other, which is exactly what the perfectness audit needs.
+
+    The audit masks: ``excess_mask`` holds the infected non-seeds whose count
+    is not 3, and ``adjacent_masks`` holds, per direction (+z, +y, +x, as an
+    index offset), the non-seeds whose neighbour in that direction turned at
+    the same step.
     """
 
     dims: GridDims
@@ -111,17 +171,26 @@ class PercolationTrace:
     neighbours_at_infection: tuple[int | None, ...]
     percolated: bool
     steps_taken: int
-    frames: tuple[int, ...] = field(repr=False, default=())
+    final_mask: int = field(repr=False)
+    excess_mask: int = field(repr=False)
+    adjacent_masks: tuple[tuple[int, int], ...] = field(repr=False)
 
     def time_of(self, cell) -> int | None:
         return self.infection_time[self.dims.index(cell)]
 
     @property
     def final(self) -> CellSet:
-        return CellSet(self.dims, self.frames[-1])
+        return CellSet(self.dims, self.final_mask)
 
-    def never_infected(self) -> list[int]:
-        return [i for i, t in enumerate(self.infection_time) if t is None]
+    @property
+    def frames(self) -> tuple[int, ...]:
+        """Infected mask after each step, seeds first; re-stepped on demand."""
+        mask = self.seeds.mask
+        frames = [mask]
+        for _ in range(self.steps_taken):
+            mask = step_mask(self.dims, self.r, mask)
+            frames.append(mask)
+        return tuple(frames)
 
 
 def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = None) -> PercolationTrace:
@@ -130,6 +199,12 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     max_steps defaults to a*b*c, which always suffices: every productive step
     infects at least one cell.  Hitting max_steps before the fixed point
     raises SimulationTruncated rather than reporting a bogus fixed point.
+
+    A step costs a fixed number of big-int operations, as in
+    ``fixed_point_mask``: the neighbour counts come from bit planes over the
+    previous mask, and the new cells are ORed into bit planes of their
+    infection time and of their count.  The per-cell tuples and the audit
+    masks are read off those planes once, at the end.
     """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
@@ -138,52 +213,47 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     plan = _shift_plan(dims)
     full = (1 << n) - 1
 
-    times: list[int | None] = [None] * n
-    counts: list[int | None] = [None] * n
-    for i in seeds.indices():
-        times[i] = 0
-        counts[i] = 0
-
-    bc = dims.b * dims.c
-    c = dims.c
-
-    def neighbour_indices(i: int) -> list[int]:
-        x, rest = divmod(i, bc)
-        y, z = divmod(rest, c)
-        out = []
-        if x > 0:
-            out.append(i - bc)
-        if x < dims.a - 1:
-            out.append(i + bc)
-        if y > 0:
-            out.append(i - c)
-        if y < dims.b - 1:
-            out.append(i + c)
-        if z > 0:
-            out.append(i - 1)
-        if z < c - 1:
-            out.append(i + 1)
-        return out
-
     mask = seeds.mask
-    frames = [mask]
+    time_planes: list[int] = []  # bit k of each cell's infection time
+    c0 = c1 = c2 = 0  # bits of each cell's count when it turned
     t = 0
     while True:
-        nxt = mask | _eligible(mask, plan, r)
+        b0, b1, b2 = _count_planes(mask, plan)
+        nxt = mask | _at_least(r, (b0, b1, b2), full)
         if nxt == mask:
             break
         if t >= limit:
             raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
         t += 1
-        new = nxt & ~mask
-        while new:
-            low = new & -new
-            i = low.bit_length() - 1
-            new ^= low
-            times[i] = t
-            counts[i] = sum(1 for j in neighbour_indices(i) if (mask >> j) & 1)
+        new = nxt ^ mask
+        if t & (t - 1) == 0:
+            time_planes.append(0)
+        for k, plane in enumerate(time_planes):
+            if t >> k & 1:
+                time_planes[k] = plane | new
+        c0 |= new & b0
+        c1 |= new & b1
+        c2 |= new & b2
         mask = nxt
-        frames.append(mask)
+
+    times: list[int | None] = _cell_values(time_planes, n)
+    counts: list[int | None] = _cell_values([c0, c1, c2], n)
+    for i in mask_indices(full ^ mask):
+        times[i] = counts[i] = None
+
+    turned = mask ^ seeds.mask
+    exactly_three = c0 & c1
+    exactly_three ^= exactly_three & c2
+    adjacent = []
+    for shift, keep in plan:
+        if shift > 0:
+            continue
+        # non-seed pairs one step of -shift apart whose time planes all agree
+        both = turned & (turned >> -shift) & keep
+        differ = 0
+        for plane in time_planes:
+            differ |= plane ^ (plane >> -shift)
+        adjacent.append((-shift, both ^ (both & differ)))
 
     return PercolationTrace(
         dims=dims,
@@ -193,7 +263,9 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         neighbours_at_infection=tuple(counts),
         percolated=mask == full,
         steps_taken=t,
-        frames=tuple(frames),
+        final_mask=mask,
+        excess_mask=turned ^ exactly_three,
+        adjacent_masks=tuple(adjacent),
     )
 
 

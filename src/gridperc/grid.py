@@ -23,6 +23,39 @@ class GridError(ValueError):
     """Invalid dimensions or a cell outside the grid."""
 
 
+# bit offsets of each byte value, and a table flagging nonzero bytes
+_BYTE_BITS = tuple(tuple(k for k in range(8) if value >> k & 1) for value in range(256))
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Set bits of a non-negative int in increasing order.
+
+    One ``to_bytes`` copy, and ``bytes.find`` over a nonzero-byte map to skip
+    empty stretches, so the Python work is per set bit and per nonzero byte,
+    never per bit of the whole mask.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    find = data.translate(_NONZERO).find
+    out = []
+    append = out.append
+    p = find(1)
+    while p >= 0:
+        base = p << 3
+        for k in _BYTE_BITS[data[p]]:
+            append(base + k)
+        p = find(1, p + 1)
+    return out
+
+
+def _mask_of(volume: int, indices: Iterable[int]) -> int:
+    """Bitset of in-range indices, set in a byte buffer (linear in volume)."""
+    buf = bytearray((volume + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True, order=True)
 class GridDims:
     """Side lengths (a, b, c) of the grid graph P_a x P_b x P_c."""
@@ -126,19 +159,16 @@ class CellSet:
 
     @staticmethod
     def from_cells(dims: GridDims, cells: Iterable[Cell]) -> "CellSet":
-        mask = 0
-        for cell in cells:
-            mask |= 1 << dims.index(cell)
-        return CellSet(dims, mask)
+        return CellSet(dims, _mask_of(dims.volume, map(dims.index, cells)))
 
     @staticmethod
     def from_indices(dims: GridDims, indices: Iterable[int]) -> "CellSet":
-        mask = 0
-        for i in indices:
+        def checked(i: int) -> int:
             if not 0 <= i < dims.volume:
                 raise GridError(f"index {i} outside grid {dims}")
-            mask |= 1 << i
-        return CellSet(dims, mask)
+            return i
+
+        return CellSet(dims, _mask_of(dims.volume, map(checked, indices)))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -161,11 +191,7 @@ class CellSet:
 
     def indices(self) -> Iterator[int]:
         """Set bits in increasing index order."""
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_indices(self.mask))
 
     def cells(self) -> list[Cell]:
         return [self.dims.cell(i) for i in self.indices()]
@@ -251,4 +277,14 @@ def embed(cset: CellSet, target: GridDims, offset: tuple[int, int, int]) -> Cell
     sub = cset.dims
     if dx < 0 or dy < 0 or dz < 0 or sub.a + dx > target.a or sub.b + dy > target.b or sub.c + dz > target.c:
         raise GridError(f"{sub} at offset {offset} does not fit in {target}")
-    return CellSet.from_cells(target, ((x + dx, y + dy, z + dz) for x, y, z in cset.cells()))
+    # one '0'/'1' character per cell, cell 0 first; rows of c cells are copied
+    # into the target's rows, so the work is per row and never per cell
+    src = format(cset.mask, f"0{sub.volume}b")[::-1]
+    empty = "0" * target.c
+    pad = "0" * dz, "0" * (target.c - sub.c - dz)
+    rows = [empty] * (target.a * target.b)
+    for x in range(sub.a):
+        for y in range(sub.b):
+            start = (x * sub.b + y) * sub.c
+            rows[(x + dx) * target.b + y + dy] = pad[0] + src[start:start + sub.c] + pad[1]
+    return CellSet(target, int("".join(rows)[::-1], 2))

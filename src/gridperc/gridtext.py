@@ -30,20 +30,27 @@ class ParseError(ValueError):
         super().__init__(message + suffix)
 
 
+def _layered(cells: str, dims: GridDims) -> str:
+    """One glyph per cell, in index order, cut into rows and layers."""
+    c = dims.c
+    layer = dims.b * c
+    blocks = (
+        "\n".join(cells[row:row + c] for row in range(first, first + layer, c))
+        for first in range(0, dims.volume, layer)
+    )
+    return "\n\n".join(blocks) + "\n"
+
+
+_SEED_GLYPHS = str.maketrans("01", EMPTY_GLYPH + SEED_GLYPH)
+_SEED_BITS = str.maketrans(EMPTY_GLYPH + SEED_GLYPH, "01")
+_NOT_GLYPHS = str.maketrans("", "", EMPTY_GLYPH + SEED_GLYPH)
+
+
 def write_set(cset: CellSet) -> str:
     """Seed set as layered text (no header; dims are implicit in the shape)."""
     dims = cset.dims
-    lines = []
-    for x in range(1, dims.a + 1):
-        if x > 1:
-            lines.append("")
-        for y in range(1, dims.b + 1):
-            row = "".join(
-                SEED_GLYPH if (x, y, z) in cset else EMPTY_GLYPH
-                for z in range(1, dims.c + 1)
-            )
-            lines.append(row)
-    return "\n".join(lines) + "\n"
+    cells = format(cset.mask, f"0{dims.volume}b")[::-1].translate(_SEED_GLYPHS)
+    return _layered(cells, dims)
 
 
 def parse_set(text: str) -> tuple[GridDims, CellSet]:
@@ -78,42 +85,24 @@ def parse_set(text: str) -> tuple[GridDims, CellSet]:
                 raise ParseError(f"row has {len(line)} cells, expected {c}", lineno)
 
     dims = GridDims(a, b, c)
-    mask = 0
-    for xi, block in enumerate(blocks):
-        for yi, (lineno, line) in enumerate(block):
-            for zi, glyph in enumerate(line):
-                if glyph == SEED_GLYPH:
-                    mask |= 1 << (xi * b * c + yi * c + zi)
-                elif glyph != EMPTY_GLYPH:
-                    raise ParseError(f"unknown glyph {glyph!r}", lineno)
+    for block in blocks:
+        for lineno, line in block:
+            bad = line.translate(_NOT_GLYPHS)
+            if bad:
+                raise ParseError(f"unknown glyph {bad[0]!r}", lineno)
+    cells = "".join(line for block in blocks for _, line in block)
+    mask = int(cells[::-1].translate(_SEED_BITS), 2)
     return dims, CellSet(dims, mask)
-
-
-def _time_glyph(t: int | None, is_seed: bool) -> str:
-    if is_seed:
-        return SEED_GLYPH
-    if t is None:
-        return NEVER_GLYPH
-    if t < 36:
-        return _DIGITS[t]
-    return OVERFLOW_GLYPH
 
 
 def render_trace(trace: PercolationTrace) -> str:
     """Trace as layered text with per-cell infection times."""
-    dims = trace.dims
-    seeds = trace.seeds
-    lines = []
-    for x in range(1, dims.a + 1):
-        if x > 1:
-            lines.append("")
-        for y in range(1, dims.b + 1):
-            row = []
-            for z in range(1, dims.c + 1):
-                i = dims.index((x, y, z))
-                row.append(_time_glyph(trace.infection_time[i], (x, y, z) in seeds))
-            lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    # time 0 marks exactly the seeds
+    glyphs = {None: NEVER_GLYPH, 0: SEED_GLYPH}
+    for t in range(1, trace.steps_taken + 1):
+        glyphs[t] = _DIGITS[t] if t < 36 else OVERFLOW_GLYPH
+    cells = "".join(map(glyphs.__getitem__, trace.infection_time))
+    return _layered(cells, trace.dims)
 
 
 def strip_times(text: str) -> str:

@@ -50,3 +50,46 @@ def pair_sum_brute(dims: GridDims, cells: set) -> int:
         for nb in neighbours_brute(dims, cell)
         if nb in cells
     )
+
+
+def trace_brute(dims: GridDims, r: int, seeds: set) -> tuple[tuple, tuple]:
+    """(infection times, neighbours infected strictly before) per cell, in
+    ``dims.cells()`` order; None for cells never infected, 0 and 0 for seeds."""
+    time = {cell: 0 for cell in seeds}
+    current = set(seeds)
+    t = 0
+    while True:
+        nxt = step_brute(dims, r, current)
+        if nxt == current:
+            break
+        t += 1
+        for cell in nxt - current:
+            time[cell] = t
+        current = nxt
+    times = tuple(time.get(cell) for cell in dims.cells())
+    counts = tuple(
+        None if cell not in time
+        else sum(1 for nb in neighbours_brute(dims, cell) if nb in time and time[nb] < time[cell])
+        for cell in dims.cells()
+    )
+    return times, counts
+
+
+def audit_lists_brute(dims: GridDims, times: tuple, counts: tuple) -> tuple[list, list]:
+    """The perfectness audit's cell lists by per-cell scanning.
+
+    Excess: infected non-seeds whose count is not 3, by increasing index.
+    Adjacent: non-seed pairs (i, j) that turned at the same step, j the +z,
+    then +y, then +x neighbour of i, by increasing i.
+    """
+    cells = list(dims.cells())
+    index = {cell: i for i, cell in enumerate(cells)}
+    excess = [i for i, t in enumerate(times) if t and counts[i] != 3]
+    pairs = []
+    for i, (x, y, z) in enumerate(cells):
+        if not times[i]:
+            continue
+        for nb in ((x, y, z + 1), (x, y + 1, z), (x + 1, y, z)):
+            if nb in index and times[index[nb]] == times[i]:
+                pairs.append((i, index[nb]))
+    return excess, pairs
