@@ -3,8 +3,8 @@
 One step infects, simultaneously, every cell with at least ``r`` infected
 neighbours; infection is permanent.  The engine works on int bitsets: the six
 axis neighbours of every cell are reached with two shifts per axis, and the
-neighbour counts of all cells are three bit planes filled by a bit-sliced
-adder, so a step costs a handful of big-int operations regardless of grid
+neighbour counts of all cells are three bit planes filled by three full
+adders, so a step costs a few dozen big-int operations regardless of grid
 size.
 """
 
@@ -23,10 +23,13 @@ class SimulationTruncated(RuntimeError):
 
 
 @lru_cache(maxsize=512)
-def _shift_plan(dims: GridDims) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per direction: ``(m << shift) & mask`` when shift > 0,
-    ``(m >> -shift) & mask`` otherwise, marks cells whose neighbour in that
-    direction is in ``m``.  Masks stop shifts from wrapping across rows/layers.
+def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
+    """Per axis z, y, x: (shift, keep for ``<<``, keep for ``>>``), flattened.
+
+    ``(m << shift) & keep_lo`` marks cells whose neighbour one step down the
+    axis is in ``m``, ``(m >> shift) & keep_hi`` those whose neighbour one step
+    up is; the masks stop shifts from wrapping across rows and layers.  An
+    axis of length 1 is (0, 0, 0), so both of its shifted masks are empty.
     """
     a, b, c = dims.as_tuple()
     n = dims.volume
@@ -43,73 +46,97 @@ def _shift_plan(dims: GridDims) -> tuple[tuple[int, int], ...]:
         row_first |= row_block << (k * b * c)
     row_last = row_first << ((b - 1) * c)
 
-    plan = []
-    if c > 1:
-        plan.append((1, full & ~col_first))   # neighbour at z-1
-        plan.append((-1, full & ~col_last))   # neighbour at z+1
-    if b > 1:
-        plan.append((c, full & ~row_first))   # y-1
-        plan.append((-c, full & ~row_last))   # y+1
-    if a > 1:
-        plan.append((b * c, full))            # x-1
-        plan.append((-(b * c), full))         # x+1
-    return tuple(plan)
+    z = (1, full & ~col_first, full & ~col_last) if c > 1 else (0, 0, 0)
+    y = (c, full & ~row_first, full & ~row_last) if b > 1 else (0, 0, 0)
+    x = (b * c, full, full) if a > 1 else (0, 0, 0)
+    return z + y + x
 
 
-def _count_planes(mask: int, plan: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:
     """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``.
 
-    A ripple-carry adder over the six shifted masks; a count is at most 6, so
-    three planes never overflow.
+    Two full adders over the six shifted masks, then one over their carries
+    and the carry of the two sums; a count is at most 6, so three planes
+    never overflow.
     """
-    b0 = b1 = b2 = 0
-    for shift, keep in plan:
-        nb = (mask << shift) & keep if shift > 0 else (mask >> -shift) & keep
-        carry = b0 & nb
-        b0 ^= nb
-        b2 |= b1 & carry
-        b1 ^= carry
-    return b0, b1, b2
+    sz, zlo, zhi, sy, ylo, yhi, sx, xlo, xhi = shifts
+    z0 = mask << sz & zlo
+    z1 = mask >> sz & zhi
+    y0 = mask << sy & ylo
+    y1 = mask >> sy & yhi
+    x0 = mask << sx & xlo
+    x1 = mask >> sx & xhi
+    p = z0 ^ z1
+    s1 = p ^ y0
+    c1 = z0 & z1 | p & y0
+    q = y1 ^ x0
+    s2 = q ^ x1
+    c2 = y1 & x0 | q & x1
+    h = s1 & s2
+    u = c1 ^ c2
+    return s1 ^ s2, u ^ h, c1 & c2 | u & h
 
 
-def _at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
+def at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
     """Cells whose count, bit k in ``planes[k]``, is at least r.
 
-    Compared from the low bit up; below the lowest set bit of r every count
-    qualifies, so no operation is spent there.
+    Compared from the low bit up: where r has a 1 the count needs it too and
+    the lower bits must already qualify; where r has a 0, a 1 in the count
+    wins outright.  A count is at most 6, so r >= 8 admits no cell.
     """
     if r >= 8:
         return 0
-    out = None
-    for k, plane in enumerate(planes):
-        if r >> k & 1:
-            out = plane if out is None else plane & out
-        elif out is not None:
-            out = plane | out
-    return full if out is None else out
+    b0, b1, b2 = planes
+    ge = b0 if r & 1 else full
+    ge = b1 & ge if r & 2 else b1 | ge
+    return b2 & ge if r & 4 else b2 | ge
 
 
-def _eligible(mask: int, plan: tuple[tuple[int, int], ...], r: int, full: int) -> int:
-    """Cells with at least r neighbours set in ``mask``."""
-    return _at_least(r, _count_planes(mask, plan), full)
+def count_planes(dims: GridDims, mask: int) -> tuple[int, int, int]:
+    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``."""
+    return _count_planes(mask, _axis_shifts(dims))
 
 
 def step_mask(dims: GridDims, r: int, mask: int) -> int:
     """One synchronous step on a raw bitset."""
-    return mask | _eligible(mask, _shift_plan(dims), r, (1 << dims.volume) - 1)
+    return mask | at_least(r, _count_planes(mask, _axis_shifts(dims)), (1 << dims.volume) - 1)
 
 
 def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = None) -> tuple[int, int]:
     """Iterate to the fixed point; returns (final mask, steps taken).
 
     Raises SimulationTruncated if max_steps productive steps do not reach it.
+    The loop is ``_count_planes`` and ``at_least`` written out in place, so
+    a step is a few dozen big-int operations and no call.
     """
-    limit = dims.volume if max_steps is None else max_steps
-    plan = _shift_plan(dims)
-    full = (1 << dims.volume) - 1
+    if r >= 8:
+        return mask, 0  # a count is at most 6: no cell ever turns
+    n = dims.volume
+    limit = n if max_steps is None else max_steps
+    sz, zlo, zhi, sy, ylo, yhi, sx, xlo, xhi = _axis_shifts(dims)
+    full = (1 << n) - 1
+    r0, r1, r2 = r & 1, r & 2, r & 4
     steps = 0
     while True:
-        nxt = mask | _eligible(mask, plan, r, full)
+        z0 = mask << sz & zlo
+        z1 = mask >> sz & zhi
+        y0 = mask << sy & ylo
+        y1 = mask >> sy & yhi
+        x0 = mask << sx & xlo
+        x1 = mask >> sx & xhi
+        p = z0 ^ z1
+        s1 = p ^ y0
+        c1 = z0 & z1 | p & y0
+        q = y1 ^ x0
+        s2 = q ^ x1
+        c2 = y1 & x0 | q & x1
+        h = s1 & s2
+        u = c1 ^ c2
+        b1 = u ^ h
+        b2 = c1 & c2 | u & h
+        ge = s1 ^ s2 if r0 else full
+        ge = b1 & ge if r1 else b1 | ge
+        nxt = mask | (b2 & ge if r2 else b2 | ge)
         if nxt == mask:
             return mask, steps
         if steps >= limit:
@@ -210,7 +237,7 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         raise GridError("seed set belongs to a different grid")
     n = dims.volume
     limit = n if max_steps is None else max_steps
-    plan = _shift_plan(dims)
+    shifts = _axis_shifts(dims)
     full = (1 << n) - 1
 
     mask = seeds.mask
@@ -218,8 +245,8 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     c0 = c1 = c2 = 0  # bits of each cell's count when it turned
     t = 0
     while True:
-        b0, b1, b2 = _count_planes(mask, plan)
-        nxt = mask | _at_least(r, (b0, b1, b2), full)
+        b0, b1, b2 = _count_planes(mask, shifts)
+        nxt = mask | at_least(r, (b0, b1, b2), full)
         if nxt == mask:
             break
         if t >= limit:
@@ -245,15 +272,15 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     exactly_three = c0 & c1
     exactly_three ^= exactly_three & c2
     adjacent = []
-    for shift, keep in plan:
-        if shift > 0:
+    for shift, keep in zip(shifts[::3], shifts[2::3]):
+        if not shift:
             continue
-        # non-seed pairs one step of -shift apart whose time planes all agree
-        both = turned & (turned >> -shift) & keep
+        # non-seed pairs one step of shift apart whose time planes all agree
+        both = turned & (turned >> shift) & keep
         differ = 0
         for plane in time_planes:
-            differ |= plane ^ (plane >> -shift)
-        adjacent.append((-shift, both ^ (both & differ)))
+            differ |= plane ^ (plane >> shift)
+        adjacent.append((shift, both ^ (both & differ)))
 
     return PercolationTrace(
         dims=dims,
@@ -273,12 +300,11 @@ def degree_pair_sum(dims: GridDims, cset: CellSet) -> int:
     """n(A) = sum over x in A of |N(x) ∩ A|, i.e. twice the internal edges."""
     if cset.dims != dims:
         raise GridError("cell set belongs to a different grid")
-    total = 0
     m = cset.mask
-    for shift, keep in _shift_plan(dims):
-        nb = (m << shift) & keep if shift > 0 else (m >> -shift) & keep
-        total += (nb & m).bit_count()
-    return total
+    shifts = _axis_shifts(dims)
+    # each internal edge, seen from its upper end; n(A) counts both ends
+    edges = sum((m >> shift & keep & m).bit_count() for shift, keep in zip(shifts[::3], shifts[2::3]))
+    return 2 * edges
 
 
 def surface_quantity(dims: GridDims, cset: CellSet) -> int:

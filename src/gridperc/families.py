@@ -178,29 +178,27 @@ def discover_family(
     scale = 2 * inst_dims[-1].volume + 1
     nodes = 0
     bnm = _neighbour_masks(bdims)
+    m_row = (1 << min_c) - 1
+    witness_parts: dict[tuple[int, int, int], int] = {}
 
     def assemble_mask(m_mask: int, b_mask: int, seam: int, k: int, dims: GridDims) -> int:
-        """Assembled bitset with k block copies inserted at the seam column."""
-        mask = 0
-        mm = m_mask
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            x, rest = divmod(i, b * min_c)
-            y, z = divmod(rest, min_c)
-            nz = z if z < seam else z + 6 * k
-            mask |= 1 << (x * b * dims.c + y * dims.c + nz)
-        for rep in range(k):
-            bm = b_mask
-            while bm:
-                low = bm & -bm
-                i = low.bit_length() - 1
-                bm ^= low
-                x, rest = divmod(i, b * 6)
-                y, z = divmod(rest, 6)
-                nz = seam + 6 * rep + z
-                mask |= 1 << (x * b * dims.c + y * dims.c + nz)
+        """Assembled bitset with k block copies inserted at the seam column.
+
+        Row by row: each (x, y) row of the witness is cut at the seam and its
+        right part moved 6k columns on (cached, since the witness stays
+        pinned); each row of the block goes in as k adjacent copies.
+        """
+        c = dims.c
+        mask = witness_parts.get((m_mask, seam, k))
+        if mask is None:
+            mask = 0
+            for row in range(a * b):
+                bits = m_mask >> (row * min_c) & m_row
+                mask |= (bits & ((1 << seam) - 1) | bits >> seam << (seam + 6 * k)) << (row * c)
+            witness_parts[(m_mask, seam, k)] = mask
+        repeat = ((1 << 6 * k) - 1) // 63  # bit 6j set for j < k: k copies of a 6-bit row
+        for row in range(a * b):
+            mask |= (b_mask >> (6 * row) & 63) * repeat << (row * c + seam)
         return mask
 
     def evaluate(m_mask: int, b_mask: int, seam: int, ks: tuple[int, ...]) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .bounds import lower_bound, surface_sum
-from .engine import _shift_plan, fixed_point_mask
+from .engine import at_least, count_planes, fixed_point_mask
 from .grid import (
     CellSet,
     GridDims,
@@ -97,16 +97,18 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
 
     Candidate sizes run upward from the surface lower bound (for r >= 3;
     from 1 otherwise).  Subsets are enumerated in lexicographic cell order,
-    pruned by the internal-edge allowance and by canonical-form symmetry
-    checks on the first two chosen cells.  The first percolating candidate at
-    the current size proves the minimum, since every smaller size was refuted
-    (by the bound or exhaustively).
+    pruned by the internal-edge allowance, by canonical-form symmetry checks
+    on the first two chosen cells, and by closure: a partial set whose union
+    with every later cell does not percolate has no percolating completion,
+    since percolation is monotone.  ``nodes_explored`` counts the nodes left
+    after pruning.  The first percolating candidate at the current size
+    proves the minimum, since every smaller size was refuted (by the bound
+    or exhaustively).
     """
     n = dims.volume
     if n > EXHAUSTIVE_CELL_CAP:
         raise SearchError(f"{dims} has {n} cells; exhaustive cap is {EXHAUSTIVE_CELL_CAP}")
 
-    plan = _shift_plan(dims)
     full = (1 << n) - 1
     nmasks = _neighbour_masks(dims)
     autos = _index_automorphisms(dims)
@@ -153,6 +155,10 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
                         continue
                 else:
                     delta = 0
+                if depth + 1 < size and fixed_point_mask(dims, r, mask | (full >> v << v))[0] != full:
+                    # not even every cell from v on completes this set, and
+                    # later v only shrink that superset: nothing below percolates
+                    return None
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise _BudgetExhausted
@@ -184,24 +190,21 @@ def _fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, in
 
     Progress counts, over uninfected cells at the fixed point, how many
     infected neighbours they already have (saturated at r-1); it breaks the
-    plateaus of the raw uninfected count.
+    plateaus of the raw uninfected count.  It is read off the neighbour count
+    planes of the fixed point as the sum over j = 1..r-1 of the uninfected
+    cells with at least j infected neighbours.
     """
     final, _ = fixed_point_mask(dims, r, mask)
     n = dims.volume
     uninfected = n - final.bit_count()
     if uninfected == 0:
         return final, 0, 0
-    plan = _shift_plan(dims)
-    hole = ~final & ((1 << n) - 1)
-    acc = [0] * r
-    for shift, keep in plan:
-        nb = (final << shift) & keep if shift > 0 else (final >> -shift) & keep
-        for k in range(r - 1, 0, -1):
-            acc[k] |= acc[k - 1] & nb
-        acc[0] |= nb
+    full = (1 << n) - 1
+    hole = full ^ final
+    planes = count_planes(dims, final)
     progress = 0
-    for k in range(r - 1):
-        progress += (hole & acc[k]).bit_count()
+    for j in range(1, r):
+        progress += (hole & at_least(j, planes, full)).bit_count()
     return final, uninfected, progress
 
 

@@ -6,17 +6,21 @@ bitsets, no shift tricks.  Deliberately slow and obvious.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
 from gridperc.grid import GridDims
 
 
-def neighbours_brute(dims: GridDims, cell):
+@lru_cache(maxsize=None)
+def neighbours_brute(dims: GridDims, cell) -> tuple:
     """All cells at Hamming-style distance one inside the box."""
     out = []
     for other in dims.cells():
         diffs = [abs(a - b) for a, b in zip(cell, other)]
         if sorted(diffs) == [0, 0, 1]:
             out.append(other)
-    return out
+    return tuple(out)
 
 
 def step_brute(dims: GridDims, r: int, infected: set) -> set:
@@ -93,3 +97,15 @@ def audit_lists_brute(dims: GridDims, times: tuple, counts: tuple) -> tuple[list
             if nb in index and times[index[nb]] == times[i]:
                 pairs.append((i, index[nb]))
     return excess, pairs
+
+
+def min_percolating_brute(dims: GridDims, r: int) -> int:
+    """Smallest size of a set whose fixed point is the whole grid, by trying
+    every subset in order of increasing size."""
+    cells = list(dims.cells())
+    for size in range(len(cells) + 1):
+        for subset in combinations(cells, size):
+            final, _ = fixed_point_brute(dims, r, set(subset))
+            if len(final) == len(cells):
+                return size
+    raise AssertionError("the whole grid always percolates")
