@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from gridperc.families import (
-    FAMILY_SPECS,
     DiscoveryParams,
     assemble_family,
     discover_family,
@@ -27,12 +26,23 @@ STORE_PATH = Path(__file__).resolve().parent.parent / "src" / "gridperc" / "data
 
 SEED_LADDER = list(range(1, 7))
 
+# The families to discover, by id: (a, b, residue mod 6, minimum c).
+FAMILIES = {
+    "2x5": (2, 5, 5, 5),
+    "2x6": (2, 6, 0, 6),
+    "2x8": (2, 8, 2, 8),
+    "4x4c1": (4, 4, 1, 7),
+    "4x4c4": (4, 4, 4, 10),
+    "4x7c1": (4, 7, 1, 7),
+    "4x7c4": (4, 7, 4, 10),
+}
+
 
 def freeze(patterns: dict, fid: str) -> bool:
     if fid in patterns:
         print(f"  {fid}: already frozen")
         return True
-    a, b, residue, min_c = FAMILY_SPECS[fid]
+    a, b, residue, min_c = FAMILIES[fid]
     t0 = time.perf_counter()
     for seed in SEED_LADDER:
         try:
@@ -63,7 +73,7 @@ def main() -> int:
     patterns = load_patterns(STORE_PATH) if STORE_PATH.exists() else {}
     STORE_PATH.parent.mkdir(parents=True, exist_ok=True)
 
-    ids = [args.only] if args.only else list(FAMILY_SPECS)
+    ids = [args.only] if args.only else list(FAMILIES)
     failures = [fid for fid in ids if not freeze(patterns, fid)]
     if failures:
         print("FAILED:", failures)

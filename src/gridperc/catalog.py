@@ -5,29 +5,21 @@ to the repository so construction pipelines never depend on re-running
 searches.  Entries are keyed by canonical (sorted) dimensions plus status;
 lookups for permuted dimensions reorient the stored set on the fly.
 
-Record layout::
-
-    entry 4x6x6:perfect
-    provenance combined 1x3x3:perfect 3x3x3:perfect 3x3x3:perfect 1x3x3:perfect
-    grid
-    X.X...
-    ...
-    end
-
-with the seed set in layered text (see gridtext).  ``verify`` re-simulates
-every entry: a catalog is data, not trusted code.
+Each entry is an ``entry <dims>:<status>`` record with ``provenance``,
+``children`` and ``rng-seed`` headers and one ``grid`` (record layout: see
+gridtext).  ``verify`` re-simulates every entry: a catalog is data, not
+trusted code.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .bounds import Status, classify, lower_bound, surface_sum
 from .grid import CellSet, GridDims, orient_set, orientations
-from .gridtext import ParseError, parse_set, write_set
+from .gridtext import ParseError, read_records, write_record
 
 
 class CatalogError(ValueError):
@@ -114,20 +106,14 @@ class Catalog:
             self.entries[key] = self.entries[key].verify(r=r)
 
     def dump(self) -> str:
-        out = io.StringIO()
-        out.write("# gridperc witness catalog v1\n")
-        for key in sorted(self.entries, key=_key_order):
-            entry = self.entries[key]
-            out.write(f"\nentry {key}\n")
-            out.write(f"provenance {entry.provenance}\n")
-            if entry.children:
-                out.write("children " + " ".join(entry.children) + "\n")
-            if entry.rng_seed is not None:
-                out.write(f"rng-seed {entry.rng_seed}\n")
-            out.write("grid\n")
-            out.write(write_set(entry.seeds))
-            out.write("end\n")
-        return out.getvalue()
+        return "# gridperc witness catalog v1\n" + "".join(
+            write_record("entry", key, {
+                "provenance": entry.provenance,
+                "children": " ".join(entry.children) or None,
+                "rng-seed": entry.rng_seed,
+            }, {"grid": entry.seeds})
+            for key, entry in sorted(self.entries.items(), key=lambda item: _key_order(item[0]))
+        )
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dump(), encoding="utf-8")
@@ -135,66 +121,29 @@ class Catalog:
     @staticmethod
     def loads(text: str) -> "Catalog":
         catalog = Catalog()
-        lines = text.splitlines()
-        i = 0
-        n = len(lines)
-
-        def fail(msg: str, lineno: int) -> CatalogError:
-            return CatalogError(f"{msg} (line {lineno})")
-
-        while i < n:
-            line = lines[i].strip()
-            if line == "" or line.startswith("#"):
-                i += 1
-                continue
-            if not line.startswith("entry "):
-                raise fail(f"expected 'entry', got {line!r}", i + 1)
-            key = line.split(None, 1)[1]
-            try:
-                dims_text, status_text = key.split(":")
-                dims = GridDims.parse(dims_text)
-                status = Status.parse(status_text)
-            except (ValueError, IndexError) as exc:
-                raise fail(f"bad entry key {key!r}: {exc}", i + 1)
-            i += 1
-            provenance = ""
-            children: tuple[str, ...] = ()
-            rng_seed = None
-            while i < n and lines[i].strip() != "grid":
-                header = lines[i].strip()
-                if header.startswith("provenance "):
-                    provenance = header[len("provenance "):]
-                elif header.startswith("children "):
-                    children = tuple(header.split()[1:])
-                elif header.startswith("rng-seed "):
-                    rng_seed = int(header.split()[1])
-                elif header == "":
-                    pass
-                else:
-                    raise fail(f"unknown header {header!r}", i + 1)
-                i += 1
-            if i >= n:
-                raise fail("missing 'grid' section", i)
-            i += 1  # past 'grid'
-            grid_start = i
-            while i < n and lines[i].strip() != "end":
-                i += 1
-            if i >= n:
-                raise fail("missing 'end'", grid_start)
-            grid_text = "\n".join(lines[grid_start:i]) + "\n"
-            i += 1  # past 'end'
-            try:
-                parsed_dims, seeds = parse_set(grid_text)
-            except ParseError as exc:
-                raise fail(f"bad grid block for {key}: {exc}", grid_start + 1)
-            if parsed_dims != dims:
-                raise fail(
-                    f"grid block shape {parsed_dims} does not match key {key}", grid_start + 1
+        records = read_records(text, "entry", ("grid",), optional=("provenance", "children", "rng-seed"))
+        try:
+            for line, key, headers, grids in records:
+                try:
+                    dims_text, status_text = key.split(":")
+                    dims = GridDims.parse(dims_text)
+                    status = Status.parse(status_text)
+                except ValueError as exc:
+                    raise ParseError(f"bad entry key {key!r}: {exc}", line) from None
+                seeds = grids["grid"]
+                if seeds.dims != dims:
+                    raise ParseError(f"grid block shape {seeds.dims} does not match key {key}", line)
+                rng_seed = headers.get("rng-seed")
+                entry = CatalogEntry(
+                    dims, seeds, status, headers.get("provenance", ""),
+                    tuple(headers.get("children", "").split()),
+                    None if rng_seed is None else int(rng_seed),
                 )
-            entry = CatalogEntry(dims, seeds, status, provenance, children, rng_seed)
-            if entry.key in catalog.entries:
-                raise fail(f"duplicate entry {entry.key}", grid_start)
-            catalog.entries[entry.key] = entry
+                if entry.key in catalog.entries:
+                    raise ParseError(f"duplicate entry {entry.key}", line)
+                catalog.entries[entry.key] = entry
+        except ParseError as exc:
+            raise CatalogError(str(exc)) from None
         return catalog
 
     @staticmethod

@@ -18,13 +18,13 @@ from .catalog import Catalog, CatalogEntry, builtin_catalog
 from .combine import CombineError, combine
 from .engine import SimulationTruncated
 from .families import (
-    FAMILY_SPECS,
     DiscoveryParams,
     FamilyError,
     assemble_family,
     builtin_patterns,
     discover_family,
     load_patterns,
+    write_patterns,
 )
 from .grid import CellSet, GridDims, GridError
 from .gridtext import ParseError, parse_set, render_trace, write_set
@@ -235,23 +235,23 @@ def cmd_search(args) -> int:
 
 
 def cmd_family(args) -> int:
+    patterns = load_patterns(args.patterns) if args.patterns else builtin_patterns()
     if args.action == "list":
-        for fid, (a, b, residue, min_c) in sorted(FAMILY_SPECS.items()):
+        for fid, p in sorted(patterns.items()):
             record = {
                 "record": "family",
                 "id": fid,
-                "section": f"{a}x{b}",
-                "residue": residue,
-                "min_c": min_c,
+                "section": f"{p.a}x{p.b}",
+                "residue": p.residue,
+                "min_c": p.min_c,
             }
             _emit(args, record,
-                  f"{fid}: ({a},{b},c) for c ≡ {residue} (mod 6), c >= {min_c}")
+                  f"{fid}: ({p.a},{p.b},c) for c ≡ {p.residue} (mod 6), c >= {p.min_c}")
         return EXIT_OK
 
     if args.id is None or (args.action == "assemble" and args.c is None):
         print("error: family action needs an id (and c for assemble)", file=sys.stderr)
         return EXIT_USAGE
-    patterns = load_patterns(args.patterns) if args.patterns else builtin_patterns()
     if args.action == "assemble":
         if args.id not in patterns:
             print(f"error: no pattern for family {args.id}", file=sys.stderr)
@@ -270,13 +270,13 @@ def cmd_family(args) -> int:
         return EXIT_OK
 
     # discover
-    if args.id not in FAMILY_SPECS:
+    if args.id not in patterns:
         print(f"error: unknown family {args.id}", file=sys.stderr)
         return EXIT_USAGE
-    a, b, residue, min_c = FAMILY_SPECS[args.id]
+    p = patterns[args.id]
     try:
         pattern = discover_family(
-            a, b, residue, min_c, rng_seed=args.rng_seed, family_id=args.id,
+            p.a, p.b, p.residue, p.min_c, rng_seed=args.rng_seed, family_id=args.id,
             node_budget=args.budget,
             params=DiscoveryParams(),
         )
@@ -292,8 +292,6 @@ def cmd_family(args) -> int:
     }
     _emit(args, record, f"discovered {args.id} (seam {pattern.left.dims.c})")
     if args.out:
-        from .families import write_patterns
-
         Path(args.out).write_text(write_patterns([pattern]), encoding="utf-8")
     return EXIT_OK
 

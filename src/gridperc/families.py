@@ -15,7 +15,6 @@ survive.  Discovered patterns are frozen into a plain-text store.
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -25,20 +24,17 @@ from .bounds import Status, classify, surface_sum
 from .catalog import CatalogEntry
 from .engine import degree_pair_sum
 from .grid import CellSet, GridDims, embed
-from .gridtext import ParseError, parse_set, write_set
-from .search import SearchError, _fixed_point_scored
-
-# The five cross-sections with periodic constructions, by family id.
-FAMILY_SPECS: dict[str, tuple[int, int, int, int]] = {
-    # id: (a, b, residue mod 6, minimum c)
-    "2x5": (2, 5, 5, 5),
-    "2x6": (2, 6, 0, 6),
-    "2x8": (2, 8, 2, 8),
-    "4x4c1": (4, 4, 1, 7),
-    "4x4c4": (4, 4, 4, 10),
-    "4x7c1": (4, 7, 1, 7),
-    "4x7c4": (4, 7, 4, 10),
-}
+from .gridtext import ParseError, read_records, write_record
+from .search import (
+    AnnealParams,
+    Schedule,
+    SearchError,
+    SearchMode,
+    find_at_bound,
+    fixed_point_scored,
+    neighbour_masks,
+    random_bit,
+)
 
 
 class FamilyError(ValueError):
@@ -158,8 +154,6 @@ def discover_family(
     has uninfected cells.  A hit is re-validated on further instances before
     being returned; a validation failure resumes the search.
     """
-    from .search import AnnealParams, SearchMode, _neighbour_masks, find_at_bound
-
     params = params or DiscoveryParams()
     if min_c % 6 != residue % 6:
         raise SearchError(f"min_c {min_c} not in residue class {residue} (mod 6)")
@@ -177,7 +171,7 @@ def discover_family(
     inst_dims = [GridDims(a, b, min_c + 6 * k) for k in (1, 2)]
     scale = 2 * inst_dims[-1].volume + 1
     nodes = 0
-    bnm = _neighbour_masks(bdims)
+    bnm = neighbour_masks(bdims)
     m_row = (1 << min_c) - 1
     witness_parts: dict[tuple[int, int, int], int] = {}
 
@@ -220,7 +214,7 @@ def discover_family(
                 total_obj += scale * dims.volume
                 total_uninf += dims.volume
                 continue
-            final, uninf, prog = _fixed_point_scored(dims, 3, mask)
+            final, uninf, prog = fixed_point_scored(dims, 3, mask)
             nodes += 1
             total_obj += uninf * scale - prog
             total_uninf += uninf
@@ -250,7 +244,6 @@ def discover_family(
             return x * b * 6 + y * 6 + ((z - seam) % 6)
         return None
 
-    cooling = (params.t_end / params.t_start) ** (1.0 / max(1, params.iterations - 1))
     seams = list(range(1, min_c))
 
     for restart in range(params.restarts):
@@ -272,54 +265,37 @@ def discover_family(
             if b_mask is None:
                 continue
             obj, uninf, hole = evaluate(m_mask, b_mask, seam, anneal_ks)
-            temp = params.t_start
-            since = 0
+            schedule = Schedule(params.t_start, params.t_end, params.iterations, scale)
             for _ in range(params.iterations):
                 if node_budget is not None and nodes >= node_budget:
                     raise SearchError(
                         f"family discovery budget exhausted for {fid} "
                         f"(best so far: {uninf} uninfected)"
                     )
-                bits = b_mask
-                k = rng.randrange(b_target)
-                for _ in range(k):
-                    bits &= bits - 1
-                old = (bits & -bits).bit_length() - 1
+                old = random_bit(rng, b_mask)
                 new = None
                 if hole and rng.random() < params.frontier_bias:
-                    hb = hole
-                    k = rng.randrange(hb.bit_count())
-                    for _ in range(k):
-                        hb &= hb - 1
-                    new = hole_to_block((hb & -hb).bit_length() - 1, seam, hole_k)
+                    new = hole_to_block(random_bit(rng, hole), seam, hole_k)
                 if new is None:
                     new = rng.randrange(b_n)
                 if new == old or (b_mask >> new) & 1:
                     continue
                 trial = (b_mask & ~(1 << old)) | (1 << new)
                 t_obj, t_uninf, t_hole = evaluate(m_mask, trial, seam, anneal_ks)
-                accept = t_obj <= obj
-                if not accept and temp > 1e-9:
-                    accept = rng.random() < pow(2.718281828, (obj - t_obj) / (scale * temp))
-                if accept:
-                    improved = t_obj < obj
+                if schedule.step(rng, obj, t_obj):
                     b_mask = trial
                     obj, uninf, hole = t_obj, t_uninf, t_hole
-                    since = 0 if improved else since + 1
                     if uninf == 0:
                         if params.staged and evaluate(m_mask, b_mask, seam, (2,))[1] != 0:
-                            since += 1
-                            temp *= cooling
+                            # no progress, and no stagnation check until the next move
+                            schedule.since += 1
                             continue
                         pattern = _pattern_from_masks(
                             fid, a, b, residue, min_c, seam, m_mask, b_mask, rng_seed
                         )
                         if _validate(pattern, params.validate_reps):
                             return pattern
-                else:
-                    since += 1
-                temp *= cooling
-                if since > params.stagnation:
+                if schedule.since > params.stagnation:
                     break  # this seam looks hopeless with this witness
 
     raise SearchError(f"no pattern found for family {fid} within budget")
@@ -361,76 +337,37 @@ def _validate(pattern: FamilyPattern, extra_reps: int) -> bool:
 # --- pattern store --------------------------------------------------------
 
 
+_PARTS = ("left", "block", "right")
+
+
 def write_patterns(patterns: list[FamilyPattern]) -> str:
-    out = io.StringIO()
-    out.write("# gridperc family pattern store v1\n")
-    for p in sorted(patterns, key=lambda p: p.family_id):
-        out.write(f"\npattern {p.family_id}\n")
-        out.write(f"section {p.a} {p.b}\n")
-        out.write(f"residue {p.residue} mod 6\n")
-        out.write(f"min-c {p.min_c}\n")
-        if p.rng_seed is not None:
-            out.write(f"rng-seed {p.rng_seed}\n")
-        for name, part in (("left", p.left), ("block", p.block), ("right", p.right)):
-            out.write(f"{name}\n")
-            out.write(write_set(part))
-            out.write("end\n")
-    return out.getvalue()
+    return "# gridperc family pattern store v1\n" + "".join(
+        write_record("pattern", p.family_id, {
+            "section": f"{p.a} {p.b}",
+            "residue": f"{p.residue} mod 6",
+            "min-c": p.min_c,
+            "rng-seed": p.rng_seed,
+        }, dict(zip(_PARTS, (p.left, p.block, p.right))))
+        for p in sorted(patterns, key=lambda p: p.family_id)
+    )
 
 
 def parse_patterns(text: str) -> dict[str, FamilyPattern]:
     patterns: dict[str, FamilyPattern] = {}
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-
-    def grab_grid(start: int) -> tuple[CellSet, int]:
-        j = start
-        while j < n and lines[j].strip() != "end":
-            j += 1
-        if j >= n:
-            raise ParseError("missing 'end'", start + 1)
-        dims, cset = parse_set("\n".join(lines[start:j]) + "\n")
-        return cset, j + 1
-
-    while i < n:
-        line = lines[i].strip()
-        if line == "" or line.startswith("#"):
-            i += 1
-            continue
-        if not line.startswith("pattern "):
-            raise ParseError(f"expected 'pattern', got {line!r}", i + 1)
-        fid = line.split(None, 1)[1]
-        i += 1
-        fields: dict[str, str] = {}
-        parts: dict[str, CellSet] = {}
-        while i < n:
-            header = lines[i].strip()
-            if header.startswith("pattern ") or (header == "" and len(parts) == 3):
-                break
-            if header in ("left", "block", "right"):
-                part, i = grab_grid(i + 1)
-                parts[header] = part
-                continue
-            if header == "":
-                i += 1
-                continue
-            key, _, value = header.partition(" ")
-            fields[key] = value
-            i += 1
+    records = read_records(
+        text, "pattern", _PARTS, required=("section", "residue", "min-c"), optional=("rng-seed",)
+    )
+    for line, fid, headers, parts in records:
         try:
-            a, b = (int(v) for v in fields["section"].split())
-            residue = int(fields["residue"].split()[0])
-            min_c = int(fields["min-c"])
-            rng_seed = int(fields["rng-seed"]) if "rng-seed" in fields else None
-            pattern = FamilyPattern(
-                family_id=fid, a=a, b=b, residue=residue, min_c=min_c,
-                left=parts["left"], block=parts["block"], right=parts["right"],
-                rng_seed=rng_seed,
+            a, b = (int(v) for v in headers["section"].split())
+            rng_seed = headers.get("rng-seed")
+            patterns[fid] = FamilyPattern(
+                family_id=fid, a=a, b=b, residue=int(headers["residue"].split()[0]),
+                min_c=int(headers["min-c"]), **parts,
+                rng_seed=None if rng_seed is None else int(rng_seed),
             )
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad pattern record {fid!r}: {exc}")
-        patterns[fid] = pattern
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"bad pattern record {fid!r}: {exc}", line) from None
     return patterns
 
 
@@ -446,3 +383,9 @@ def load_patterns(path: str | Path) -> dict[str, FamilyPattern]:
 
 def save_patterns(patterns: dict[str, FamilyPattern], path: str | Path) -> None:
     Path(path).write_text(write_patterns(list(patterns.values())), encoding="utf-8")
+
+
+# The families with frozen patterns, by id: (a, b, residue mod 6, minimum c).
+FAMILY_SPECS: dict[str, tuple[int, int, int, int]] = {
+    fid: (p.a, p.b, p.residue, p.min_c) for fid, p in builtin_patterns().items()
+}

@@ -6,9 +6,24 @@ a seed and ``.`` an empty cell.  Rendered traces reuse the same geometry with
 infection times as glyphs: 1-9, then base-36 letters for 10-35, ``+`` for
 times 36 and beyond, ``#`` for never infected.  Stripping times (any glyph
 other than X back to ``.``) round-trips with the seed format.
+
+The catalog and the family pattern store are sequences of records: a
+keyword line naming the record, ``key value`` headers, and named grids, each
+closed by ``end``::
+
+    entry 4x6x6:perfect
+    provenance combined 1x3x3:perfect 3x3x3:perfect 3x3x3:perfect 1x3x3:perfect
+    grid
+    X.X...
+    ...
+    end
+
+Blank lines and ``#`` comments may stand anywhere outside a grid.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .engine import PercolationTrace
 from .grid import CellSet, GridDims
@@ -25,6 +40,7 @@ class ParseError(ValueError):
     """Malformed layered text; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason = message
         self.line = line
         suffix = f" (line {line})" if line is not None else ""
         super().__init__(message + suffix)
@@ -93,6 +109,75 @@ def parse_set(text: str) -> tuple[GridDims, CellSet]:
     cells = "".join(line for block in blocks for _, line in block)
     mask = int(cells[::-1].translate(_SEED_BITS), 2)
     return dims, CellSet(dims, mask)
+
+
+def read_records(
+    text: str,
+    keyword: str,
+    grids: tuple[str, ...],
+    required: tuple[str, ...] = (),
+    optional: tuple[str, ...] = (),
+) -> Iterator[tuple[int, str, dict[str, str], dict[str, CellSet]]]:
+    """Yield (line, name, headers, grids) for each ``keyword`` record of a store.
+
+    ``line`` is the record's first line; a record ends once every grid in
+    ``grids`` is read.  Errors name the offending line of ``text``.
+    """
+    lines = text.splitlines()
+    n = len(lines)
+    known = {*required, *optional}
+    i = 0
+    while i < n:
+        line = lines[i].strip()
+        i += 1
+        if not line or line.startswith("#"):
+            continue
+        start = i
+        word, _, name = line.partition(" ")
+        if word != keyword or not name:
+            raise ParseError(f"expected {keyword!r}, got {line!r}", start)
+        headers: dict[str, str] = {}
+        sets: dict[str, CellSet] = {}
+        while len(sets) < len(grids):
+            if i == n:
+                raise ParseError(f"missing {next(g for g in grids if g not in sets)!r} section", start)
+            line = lines[i].strip()
+            i += 1
+            if not line or line.startswith("#"):
+                continue
+            if line in grids:
+                first = i
+                while i < n and lines[i].strip() != "end":
+                    i += 1
+                if i == n:
+                    raise ParseError("missing 'end'", first)
+                try:
+                    sets[line] = parse_set("\n".join(lines[first:i]) + "\n")[1]
+                except ParseError as exc:
+                    raise ParseError(
+                        f"bad {line} block for {name}: {exc.reason}", first + (exc.line or 0)
+                    ) from None
+                i += 1
+                continue
+            key, _, value = line.partition(" ")
+            if key not in known:
+                raise ParseError(f"unknown header {line!r}", i)
+            headers[key] = value
+        for key in required:
+            if key not in headers:
+                raise ParseError(f"{keyword} {name!r} has no {key!r} header", start)
+        yield start, name, headers, sets
+
+
+def write_record(
+    keyword: str, name: str, headers: dict[str, object], grids: dict[str, CellSet]
+) -> str:
+    """One store record, opened by a blank line; headers valued None are left out."""
+    out = [f"\n{keyword} {name}\n"]
+    out += (f"{key} {value}\n" for key, value in headers.items() if value is not None)
+    for grid_name, cset in grids.items():
+        out += (f"{grid_name}\n", write_set(cset), "end\n")
+    return "".join(out)
 
 
 def render_trace(trace: PercolationTrace) -> str:

@@ -26,7 +26,7 @@ from itertools import chain, product
 from .bounds import Status, surface_sum
 from .catalog import Catalog, CatalogEntry, builtin_catalog, entry_key
 from .combine import combine, octant_parts, thickness1_entry
-from .families import FAMILY_SPECS, FamilyPattern, assemble_family, builtin_patterns
+from .families import FamilyPattern, assemble_family, builtin_patterns
 from .grid import GridDims
 
 Split = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -76,6 +76,9 @@ class Builder:
     def __post_init__(self) -> None:
         self._plans: dict[tuple[tuple[int, int, int], Status], Plan | None] = {}
         self._resolved: dict[str, CatalogEntry] = {}
+        self._sections: dict[tuple[int, int], list[str]] = {}
+        for fid, pattern in self.patterns.items():
+            self._sections.setdefault((pattern.a, pattern.b), []).append(fid)
 
     def perfect(self, dims: GridDims) -> CatalogEntry:
         """A verified perfect witness for dims, oriented to match them."""
@@ -139,6 +142,14 @@ class Builder:
         self._resolved[key] = entry
         return entry
 
+    def _family_match(self, t: tuple[int, int, int]) -> tuple[str, int] | None:
+        """Family id and parameter c when some axis pairing matches a loaded pattern."""
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            for fid in self._sections.get((t[i], t[j]), ()):
+                if self.patterns[fid].admissible(t[k]):
+                    return fid, t[k]
+        return None
+
     def _plan(self, t: tuple[int, int, int], status: Status) -> Plan | None:
         key = (t, status)
         if key not in self._plans:
@@ -159,7 +170,7 @@ class Builder:
                 return Leaf(dims, status, "thickness1", b.bit_length())
         if entry_key(dims, status) in self.catalog.entries:
             return Leaf(dims, status, "catalog")
-        family = _family_match(t, self.patterns) if status is Status.PERFECT else None
+        family = self._family_match(t) if status is Status.PERFECT else None
         if family is not None:
             return Leaf(dims, status, "family", family)
         for split in chain(_paper_splits(t, status), _generic_splits(t, status)):
@@ -226,12 +237,3 @@ def _generic_splits(t: tuple[int, int, int], status: Status):
 def _middle_out(n: int) -> list[int]:
     return sorted(range(1, n), key=lambda i: abs(2 * i - n))
 
-
-def _family_match(t: tuple[int, int, int], patterns: dict[str, FamilyPattern]) -> tuple[str, int] | None:
-    """Family id and parameter c when some axis pairing matches a family."""
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        section, c = (t[i], t[j]), t[k]
-        for fid, (fa, fb, residue, min_c) in FAMILY_SPECS.items():
-            if fid in patterns and section == (fa, fb) and c % 6 == residue and c >= min_c:
-                return fid, c
-    return None

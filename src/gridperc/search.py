@@ -72,7 +72,8 @@ def min_22c(c: int) -> int:
     return max((3 * c + 2) // 2, lower_bound(GridDims(2, 2, c))[1])
 
 
-def _neighbour_masks(dims: GridDims) -> list[int]:
+def neighbour_masks(dims: GridDims) -> list[int]:
+    """Per cell index, the bitmask of its grid neighbours."""
     out = []
     for i in range(dims.volume):
         m = 0
@@ -110,7 +111,7 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
         raise SearchError(f"{dims} has {n} cells; exhaustive cap is {EXHAUSTIVE_CELL_CAP}")
 
     full = (1 << n) - 1
-    nmasks = _neighbour_masks(dims)
+    nmasks = neighbour_masks(dims)
     autos = _index_automorphisms(dims)
     first_cells = sorted(orbit_minima(dims))
     surface = 2 * surface_sum(dims)
@@ -185,7 +186,7 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, int]:
+def fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, int]:
     """(final mask, uninfected count, progress score).
 
     Progress counts, over uninfected cells at the fixed point, how many
@@ -206,6 +207,42 @@ def _fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, in
     for j in range(1, r):
         progress += (hole & at_least(j, planes, full)).bit_count()
     return final, uninfected, progress
+
+
+def random_bit(rng: random.Random, mask: int) -> int:
+    """Index of a uniformly chosen set bit of a nonzero mask (one rng draw)."""
+    for _ in range(rng.randrange(mask.bit_count())):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+class Schedule:
+    """Geometric cooling from t_start to t_end over ``iterations`` moves and the
+    Metropolis test on integer objectives in units of ``scale``.  ``since``
+    counts evaluated moves since the last strict improvement."""
+
+    def __init__(self, t_start: float, t_end: float, iterations: int, scale: int):
+        self.t_start = t_start
+        self.temp = t_start
+        self.cooling = (t_end / t_start) ** (1.0 / max(1, iterations - 1))
+        self.scale = scale
+        self.since = 0
+
+    def step(self, rng: random.Random, obj: int, t_obj: int) -> bool:
+        """Accept or reject a move from objective ``obj`` to ``t_obj``, then cool."""
+        accept = t_obj <= obj
+        if not accept and self.temp > 1e-9:
+            # the hand-typed constant keeps seeded results (and the frozen
+            # stores' rng-seed provenance) reproducible; math.e could flip one
+            accept = rng.random() < pow(2.718281828, (obj - t_obj) / (self.scale * self.temp))
+        self.since = 0 if accept and t_obj < obj else self.since + 1
+        self.temp *= self.cooling
+        return accept
+
+    def reheat(self) -> None:
+        """Raise the temperature to at least half of t_start and reset ``since``."""
+        self.temp = max(self.temp, self.t_start * 0.5)
+        self.since = 0
 
 
 @dataclass(frozen=True)
@@ -269,7 +306,7 @@ def find_at_bound(
     max_edges = 3 * target - surface_sum(dims) if r >= 3 else None
 
     rng = random.Random(rng_seed)
-    nmasks = _neighbour_masks(dims)
+    nmasks = neighbour_masks(dims)
     orbits = _orbits_under(dims, symmetry)
     orbit_mask = [sum(1 << i for i in orb) for orb in orbits]
     orbit_of = [0] * n
@@ -319,21 +356,18 @@ def find_at_bound(
                     return picked, mask, edges
         return None
 
-    cooling = (params.t_end / params.t_start) ** (1.0 / max(1, params.iterations - 1))
-
     for _ in range(params.restarts):
         state = random_state()
         if state is None:
             continue
         picked, mask, edges = state
-        final, uninf, prog = _fixed_point_scored(dims, r, mask)
+        final, uninf, prog = fixed_point_scored(dims, r, mask)
         nodes += 1
         obj = uninf * scale - prog
         if uninf == 0:
             return SearchResult(dims, SearchMode.HEURISTIC_WITNESS, None, CellSet(dims, mask), nodes, rng_seed)
 
-        temp = params.t_start
-        since_improvement = 0
+        schedule = Schedule(params.t_start, params.t_end, params.iterations, scale)
         hole = ~final & ((1 << n) - 1)
         for _ in range(params.iterations):
             if node_budget is not None and nodes >= node_budget:
@@ -344,11 +378,7 @@ def find_at_bound(
             base = mask & ~orbit_mask[old_oi]
             base_edges = edges - added_edges(orbit_mask[old_oi], base)
             if hole and rng.random() < params.frontier_bias:
-                hole_bits = hole
-                k = rng.randrange(hole_bits.bit_count())
-                for _ in range(k):
-                    hole_bits &= hole_bits - 1
-                new_cell = (hole_bits & -hole_bits).bit_length() - 1
+                new_cell = random_bit(rng, hole)
             else:
                 new_cell = rng.randrange(n)
             new_oi = orbit_of[new_cell]
@@ -361,31 +391,21 @@ def find_at_bound(
             if max_edges is not None and base_edges + delta > max_edges:
                 continue
             trial_mask = base | om
-            t_final, t_uninf, t_prog = _fixed_point_scored(dims, r, trial_mask)
+            t_final, t_uninf, t_prog = fixed_point_scored(dims, r, trial_mask)
             nodes += 1
             t_obj = t_uninf * scale - t_prog
-            accept = t_obj <= obj
-            if not accept and temp > 1e-9:
-                accept = rng.random() < pow(2.718281828, (obj - t_obj) / (scale * temp))
-            if accept:
-                improved = t_obj < obj
+            if schedule.step(rng, obj, t_obj):
                 picked[si] = new_oi
                 mask = trial_mask
                 edges = base_edges + delta
                 obj = t_obj
-                final = t_final
-                hole = ~final & ((1 << n) - 1)
+                hole = ~t_final & ((1 << n) - 1)
                 if t_uninf == 0:
                     return SearchResult(
                         dims, SearchMode.HEURISTIC_WITNESS, None, CellSet(dims, mask), nodes, rng_seed
                     )
-                since_improvement = 0 if improved else since_improvement + 1
-            else:
-                since_improvement += 1
-            temp *= cooling
-            if since_improvement > params.stagnation:
-                temp = max(temp, params.t_start * 0.5)
-                since_improvement = 0
+            if schedule.since > params.stagnation:
+                schedule.reheat()
         if node_budget is not None and nodes >= node_budget:
             break
 

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from gridperc.bounds import Status
@@ -102,3 +104,8 @@ def test_builtin_catalog_verifies_and_sizes():
 def test_builtin_catalog_dump_is_stable():
     cat = builtin_catalog()
     assert Catalog.loads(cat.dump()).dump() == cat.dump()
+
+
+def test_committed_catalog_round_trips_byte_for_byte():
+    data = resources.files("gridperc.data").joinpath("catalog.txt").read_bytes()
+    assert Catalog.loads(data.decode("utf-8")).dump().encode("utf-8") == data

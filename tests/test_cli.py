@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from dataclasses import replace
+
 from gridperc.cli import main
+from gridperc.families import builtin_patterns, save_patterns
 from gridperc.gridtext import parse_set, write_set
 from gridperc.grid import CellSet, GridDims
 
@@ -163,3 +166,14 @@ def test_console_script_entrypoint():
     runs = [subprocess.run(cmd, capture_output=True, timeout=60) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_family_list_reads_the_given_store(tmp_path, capsys):
+    store = tmp_path / "families.txt"
+    copy = replace(builtin_patterns()["2x5"], family_id="2x5copy")
+    save_patterns({"2x5copy": copy}, store)
+    code, out = run_cli(capsys, "--machine", "family", "list", "--patterns", str(store))
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["id"] for r in records] == ["2x5copy"]
+    assert records[0]["section"] == "2x5" and records[0]["min_c"] == 5

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from gridperc.bounds import Status, classify, perfect_audit, surface_sum
@@ -8,10 +10,12 @@ from gridperc.families import (
     FamilyPattern,
     assemble_family,
     builtin_patterns,
+    discover_family,
     parse_patterns,
     write_patterns,
 )
 from gridperc.grid import CellSet, GridDims
+from gridperc.search import SearchError
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +87,15 @@ def test_minimal_instance_has_no_blocks(patterns):
     minimal = pattern.seed_set(pattern.min_c)
     boundary_only = pattern.left.dims.c + pattern.right.dims.c
     assert minimal.dims.c == boundary_only == pattern.min_c
+
+
+def test_committed_pattern_store_round_trips_byte_for_byte():
+    data = resources.files("gridperc.data").joinpath("families.txt").read_bytes()
+    text = data.decode("utf-8")
+    assert write_patterns(list(parse_patterns(text).values())).encode("utf-8") == data
+
+
+@pytest.mark.parametrize("rng_seed,uninfected", [(1, 6), (2, 7)])
+def test_budgeted_discovery_stream_is_pinned(rng_seed, uninfected):
+    with pytest.raises(SearchError, match=rf"best so far: {uninfected} uninfected\)"):
+        discover_family(2, 5, 5, 5, rng_seed=rng_seed, node_budget=1000)

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from gridperc.bounds import Status
+from gridperc.catalog import Catalog, CatalogEntry, CatalogError
 from gridperc.engine import percolate
+from gridperc.families import builtin_patterns, parse_patterns, write_patterns
 from gridperc.grid import CellSet, GridDims
 from gridperc.gridtext import (
     ParseError,
@@ -80,3 +83,49 @@ def test_render_base36_and_overflow():
     assert text[36] == "+"      # overflow glyph
     stripped_dims, stripped = parse_set(strip_times(text + "\n"))
     assert stripped.mask == seeds.mask
+
+
+def _catalog_store() -> str:
+    # 1 header, 2 blank, 3 entry, 4 provenance, 5 grid, 6-8 rows, 9 end
+    dims = GridDims(1, 3, 3)
+    catalog = Catalog()
+    catalog.add(CatalogEntry(dims, CellSet.from_cells(dims, DIAMOND), Status.PERFECT, "unit-test"))
+    return catalog.dump()
+
+
+def _pattern_store() -> str:
+    # 1 header, 2 blank, 3 pattern, 4 section, 5 residue, 6 min-c, 7 rng-seed,
+    # 8 left, 9.. its rows
+    return write_patterns([builtin_patterns()["2x5"]])
+
+
+STORES = {
+    "catalog": (_catalog_store, Catalog.loads, CatalogError),
+    "patterns": (_pattern_store, parse_patterns, ParseError),
+}
+
+
+@pytest.mark.parametrize(
+    "store,lineno,replacement,fragment,reported",
+    [
+        ("catalog", 7, ".X", "row has 2 cells, expected 3", 7),
+        ("catalog", 8, "X?X", "unknown glyph '?'", 8),
+        ("catalog", 4, "bogus line", "unknown header 'bogus line'", 4),
+        ("catalog", 9, "", "missing 'end'", 5),
+        ("catalog", 3, "entry 1x3x4:perfect", "does not match key", 3),
+        ("patterns", 10, "Q.", "bad left block for 2x5: unknown glyph 'Q'", 10),
+        ("patterns", 6, "", "pattern '2x5' has no 'min-c' header", 3),
+        ("patterns", 5, "residue x mod 6", "bad pattern record '2x5'", 3),
+        ("patterns", 4, "bogus 1", "unknown header 'bogus 1'", 4),
+    ],
+)
+def test_store_errors_name_the_file_line_once(store, lineno, replacement, fragment, reported):
+    make, load, error = STORES[store]
+    lines = make().splitlines()
+    lines[lineno - 1] = replacement
+    with pytest.raises(error) as err:
+        load("\n".join(lines) + "\n")
+    message = str(err.value)
+    assert fragment in message
+    assert message.endswith(f"(line {reported})")
+    assert message.count("(line ") == 1

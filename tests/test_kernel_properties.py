@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridperc.engine import _axis_shifts, _count_planes, count_planes, fixed_point_mask
 from gridperc.grid import CellSet, GridDims
-from gridperc.search import _fixed_point_scored, min_exhaustive
+from gridperc.search import fixed_point_scored, min_exhaustive
 
 from oracle import fixed_point_brute, min_percolating_brute, neighbours_brute
 from test_trace_properties import PROPERTY, seeded_grids
@@ -54,7 +54,7 @@ def test_length_one_axes_have_empty_shifts():
 @given(seeded_grids(max_sides=(5, 5, 5)), st.integers(1, 6))
 def test_progress_is_saturated_count_over_the_hole(grid, r):
     dims, seeds = grid
-    final, uninfected, progress = _fixed_point_scored(dims, r, seeds.mask)
+    final, uninfected, progress = fixed_point_scored(dims, r, seeds.mask)
     assert final == fixed_point_mask(dims, r, seeds.mask)[0]
     infected = CellSet(dims, final)
     counts = _counts(dims, infected)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from gridperc.bounds import Status, classify, lower_bound, surface_sum
+from gridperc.families import builtin_patterns
 from gridperc.grid import GridDims
-from gridperc.pipelines import Builder, Combine, DependencyError
+from gridperc.pipelines import Builder, Combine, DependencyError, Leaf
 
 
 def test_perfect_resolves_thickness1(builder):
@@ -161,3 +164,14 @@ def test_paper_routes_are_preferred(builder, build, children):
     entry = build(builder)
     assert entry.provenance == "combined"
     assert entry.children == children
+
+
+def test_builder_plans_a_family_from_a_custom_store():
+    # the family list is the loaded store: an id the built-in store lacks is used
+    copy = replace(builtin_patterns()["2x5"], family_id="2x5copy")
+    builder = Builder(patterns={"2x5copy": copy})
+    dims = GridDims(2, 5, 11)
+    assert builder.plan(dims, Status.PERFECT) == Leaf(dims, Status.PERFECT, "family", ("2x5copy", 11))
+    entry = builder.perfect(dims)
+    assert entry.provenance == "family 2x5copy c=11"
+    assert classify(entry.dims, entry.seeds).status is Status.PERFECT
