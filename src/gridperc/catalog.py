@@ -91,16 +91,6 @@ class Catalog:
         entry = self.entries.get(entry_key(dims, status))
         return None if entry is None else entry.reoriented(dims)
 
-    def best(self, dims: GridDims, at_least: Status = Status.OPTIMAL) -> CatalogEntry | None:
-        """Highest-status entry for dims meeting the floor, if any."""
-        for status in (Status.PERFECT, Status.OPTIMAL):
-            if status < at_least:
-                break
-            hit = self.get(dims, status)
-            if hit is not None:
-                return hit
-        return None
-
     def verify_all(self, r: int = 3) -> None:
         for key in sorted(self.entries):
             self.entries[key] = self.entries[key].verify(r=r)
@@ -134,10 +124,13 @@ class Catalog:
                 if seeds.dims != dims:
                     raise ParseError(f"grid block shape {seeds.dims} does not match key {key}", line)
                 rng_seed = headers.get("rng-seed")
+                try:
+                    rng_seed = None if rng_seed is None else int(rng_seed)
+                except ValueError:
+                    raise ParseError(f"bad rng-seed {rng_seed!r} for {key}", line) from None
                 entry = CatalogEntry(
                     dims, seeds, status, headers.get("provenance", ""),
-                    tuple(headers.get("children", "").split()),
-                    None if rng_seed is None else int(rng_seed),
+                    tuple(headers.get("children", "").split()), rng_seed,
                 )
                 if entry.key in catalog.entries:
                     raise ParseError(f"duplicate entry {entry.key}", line)

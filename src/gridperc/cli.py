@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bounds import Status, classify, lower_bound, perfect_precondition
-from .catalog import Catalog, CatalogEntry, builtin_catalog
+from .catalog import Catalog, CatalogEntry, CatalogError, builtin_catalog
 from .combine import CombineError, combine
 from .engine import SimulationTruncated
 from .families import (
@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, GridError, SearchError) as exc:
+    except (ParseError, CatalogError, GridError, SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DependencyError, CombineError, FamilyError, SimulationTruncated) as exc:

@@ -13,38 +13,19 @@ quadrants of the (1, 2m+1, 2m+1) grid plus one centre seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 from .bounds import Status, classify
 from .catalog import CatalogEntry, check_size
-from .grid import CellSet, GridDims, GridError, embed, orient_set, orientations
-
-# Max part-orientation combinations tried before giving up.  The identity
-# placement provably percolates, so retries are a guard rail, not a hot path.
-MAX_ORIENTATION_TRIES = 256
+from .grid import CellSet, GridDims, GridError, embed
 
 
 class CombineError(RuntimeError):
-    """No tried orientation produced a percolating combination."""
-
-
-@dataclass(frozen=True)
-class _Slot:
-    dims: GridDims
-    offset: tuple[int, int, int]
+    """The placed parts do not percolate the summed grid at p1's status."""
 
 
 def octant_parts(split: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int], ...]:
     """Sides of the parts p1..p4 for split ((a1, a2), (b1, b2), (c1, c2))."""
     (a1, a2), (b1, b2), (c1, c2) = split
     return (a1, b1, c1), (a2, b2, c1), (a2, b1, c2), (a1, b2, c2)
-
-
-def _slots(a1: int, a2: int, b1: int, b2: int, c1: int, c2: int) -> list[_Slot]:
-    offsets = ((0, 0, 0), (a1, b1, 0), (a1, 0, c1), (0, b1, c1))
-    parts = octant_parts(((a1, a2), (b1, b2), (c1, c2)))
-    return [_Slot(GridDims(*part), offset) for part, offset in zip(parts, offsets)]
 
 
 def combine(
@@ -58,7 +39,9 @@ def combine(
 
     Parts must match the octant pattern: p1 on (a1,b1,c1), p2 on (a2,b2,c1),
     p3 on (a2,b1,c2), p4 on (a1,b2,c2); p2..p4 perfect, p1 perfect or optimal.
-    Orientations are retried in canonical order until the union percolates.
+    Each part is placed as given: by monotonicity it still fills its octant,
+    and each empty octant then borders three full ones and fills, so no other
+    orientation of a part is ever needed.  The union is simulated once.
     """
     parts = (p1, p2, p3, p4)
     for part in parts[1:]:
@@ -79,46 +62,33 @@ def combine(
         raise GridError(f"p4 {p4.dims} must be ({a1},{b2},{c2})")
 
     target = GridDims(a1 + a2, b1 + b2, c1 + c2)
-    slots = _slots(a1, a2, b1, b2, c1, c2)
     status = p1.status
-
-    per_part_orients = [orientations(part.dims, slot.dims) for part, slot in zip(parts, slots)]
-    tried = 0
-    last_diag = None
-    for combo in product(*per_part_orients):
-        if tried >= MAX_ORIENTATION_TRIES:
-            break
-        tried += 1
-        union = CellSet.empty(target)
-        for part, slot, orient in zip(parts, slots, combo):
-            placed = embed(orient_set(part.seeds, orient), target, slot.offset)
-            union = union | placed
-        if len(union) != sum(part.size for part in parts):
-            raise GridError("octants overlap; placement is inconsistent")
-        result = classify(target, union, r=r)
-        if result.status >= status:
-            entry = CatalogEntry(
-                dims=target,
-                seeds=union,
-                status=status,
-                provenance="combined",
-                children=tuple(part.key for part in parts),
-                verified=True,
-            )
-            if not check_size(entry):
-                raise CombineError(
-                    f"combined {target} witness has size {entry.size}, "
-                    f"inconsistent with status {status}"
-                )
-            return entry
-        last_diag = (
-            f"orientation try {tried}: status {result.status}, "
-            f"{target.volume - len(result.final)} cells never infected"
+    offsets = ((0, 0, 0), (a1, b1, 0), (a1, 0, c1), (0, b1, c1))
+    union = CellSet.empty(target)
+    for part, offset in zip(parts, offsets):
+        union = union | embed(part.seeds, target, offset)
+    if len(union) != sum(part.size for part in parts):
+        raise GridError("octants overlap; placement is inconsistent")
+    result = classify(target, union, r=r)
+    if result.status < status:
+        raise CombineError(
+            f"combined {target} from parts {[p.key for p in parts]} classifies as "
+            f"{result.status}: {target.volume - len(result.final)} cells never infected"
         )
-    raise CombineError(
-        f"no orientation combination percolated for {target} "
-        f"from parts {[p.key for p in parts]}; last: {last_diag}"
+    entry = CatalogEntry(
+        dims=target,
+        seeds=union,
+        status=status,
+        provenance="combined",
+        children=tuple(part.key for part in parts),
+        verified=True,
     )
+    if not check_size(entry):
+        raise CombineError(
+            f"combined {target} witness has size {entry.size}, "
+            f"inconsistent with status {status}"
+        )
+    return entry
 
 
 def thickness1_entry(k: int) -> CatalogEntry:

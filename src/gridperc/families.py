@@ -358,6 +358,8 @@ def parse_patterns(text: str) -> dict[str, FamilyPattern]:
         text, "pattern", _PARTS, required=("section", "residue", "min-c"), optional=("rng-seed",)
     )
     for line, fid, headers, parts in records:
+        if fid in patterns:
+            raise ParseError(f"duplicate pattern {fid!r}", line)
         try:
             a, b = (int(v) for v in headers["section"].split())
             rng_seed = headers.get("rng-seed")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int, int]
@@ -212,7 +212,8 @@ def orientations(src: GridDims, dst: GridDims) -> list[Orientation]:
     """All orientations mapping a ``src`` box onto a ``dst`` box.
 
     Empty when the side multisets differ.  Identity comes first when it
-    applies, giving deterministic retry order.
+    applies, then the rest in sorted order: ``CatalogEntry.reoriented`` uses
+    the first, so which witness a lookup returns is fixed.
     """
     src_t = src.as_tuple()
     dst_t = dst.as_tuple()
@@ -226,24 +227,41 @@ def orientations(src: GridDims, dst: GridDims) -> list[Orientation]:
     return out
 
 
-def orient_cell(cell: Cell, src: GridDims, orientation: Orientation) -> Cell:
+def _source_rows(dims: GridDims, orientation: Orientation) -> Iterator[slice]:
+    """Per row of the oriented box, in index order, the slice of the source's
+    index order that the row reads.
+
+    Rows run along the image's last axis, which reads one source axis at a
+    fixed stride, negated when that axis is mirrored.
+    """
     perm, flips = orientation
-    src_t = src.as_tuple()
-    out = []
-    for j in range(3):
-        v = cell[perm[j]]
-        if flips[j]:
-            v = src_t[perm[j]] + 1 - v
-        out.append(v)
-    return (out[0], out[1], out[2])
+    sides = dims.as_tuple()
+    strides = (dims.b * dims.c, dims.c, 1)
+    steps = [-strides[p] if f else strides[p] for p, f in zip(perm, flips)]
+    origin = sum((sides[p] - 1) * strides[p] for p, f in zip(perm, flips) if f)
+    n0, n1, n2 = (sides[p] for p in perm)
+    for x, y in product(range(n0), range(n1)):
+        start = origin + x * steps[0] + y * steps[1]
+        stop = start + n2 * steps[2]
+        yield slice(start, stop if stop >= 0 else None, steps[2])
 
 
 def orient_set(cset: CellSet, orientation: Orientation) -> CellSet:
-    """Apply a box isometry to a whole cell set."""
+    """Apply a box isometry to a whole cell set, one row at a time."""
     perm, _ = orientation
     src_t = cset.dims.as_tuple()
     dst = GridDims(src_t[perm[0]], src_t[perm[1]], src_t[perm[2]])
-    return CellSet.from_cells(dst, (orient_cell(c, cset.dims, orientation) for c in cset.cells()))
+    # one '0'/'1' character per cell, cell 0 first, as in embed
+    src = format(cset.mask, f"0{cset.dims.volume}b")[::-1]
+    image = "".join(src[s] for s in _source_rows(cset.dims, orientation))
+    return CellSet(dst, int(image[::-1], 2))
+
+
+def orient_indices(dims: GridDims, orientation: Orientation) -> list[int]:
+    """For each index of the oriented box, the ``dims`` index it reads: the
+    inverse of the map ``orient_set`` applies to cells."""
+    cells = range(dims.volume)
+    return list(chain.from_iterable(cells[s] for s in _source_rows(dims, orientation)))
 
 
 def automorphisms(dims: GridDims) -> list[Orientation]:
@@ -257,18 +275,11 @@ def orbit_minima(dims: GridDims) -> frozenset[int]:
 
     Used to restrict the first chosen cell in exhaustive search: the
     lexicographically least automorphic image of any set starts at an
-    orbit-minimal cell.
+    orbit-minimal cell.  The group holds every inverse, so the inverse maps
+    from ``orient_indices`` trace the same orbits, and the least image of
+    each index is the minimum of its orbit.
     """
-    autos = automorphisms(dims)
-    minima = set()
-    seen = set()
-    for i in range(dims.volume):
-        if i in seen:
-            continue
-        orbit = {dims.index(orient_cell(dims.cell(i), dims, g)) for g in autos}
-        seen |= orbit
-        minima.add(min(orbit))
-    return frozenset(minima)
+    return frozenset(map(min, *(orient_indices(dims, g) for g in automorphisms(dims))))
 
 
 def embed(cset: CellSet, target: GridDims, offset: tuple[int, int, int]) -> CellSet:

@@ -27,7 +27,7 @@ from .grid import (
     automorphisms,
     neighbours,
     orbit_minima,
-    orient_cell,
+    orient_indices,
 )
 
 EXHAUSTIVE_CELL_CAP = 30
@@ -83,16 +83,6 @@ def neighbour_masks(dims: GridDims) -> list[int]:
     return out
 
 
-def _index_automorphisms(dims: GridDims) -> list[list[int]]:
-    tables = []
-    for g in automorphisms(dims):
-        table = [0] * dims.volume
-        for i in range(dims.volume):
-            table[i] = dims.index(orient_cell(dims.cell(i), dims, g))
-        tables.append(table)
-    return tables
-
-
 def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -> SearchResult:
     """Proven minimum percolating set size, by enumeration with pruning.
 
@@ -112,7 +102,8 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
 
     full = (1 << n) - 1
     nmasks = neighbour_masks(dims)
-    autos = _index_automorphisms(dims)
+    # inverse maps, one per automorphism: the group holds every inverse
+    autos = [orient_indices(dims, g) for g in automorphisms(dims)]
     first_cells = sorted(orbit_minima(dims))
     surface = 2 * surface_sum(dims)
 
@@ -263,17 +254,10 @@ class AnnealParams:
 
 def _orbits_under(dims: GridDims, symmetry: Orientation | None) -> list[tuple[int, ...]]:
     """Cell orbits under one involutive symmetry (singletons when None)."""
-    n = dims.volume
     if symmetry is None:
-        return [(i,) for i in range(n)]
-    image = [dims.index(orient_cell(dims.cell(i), dims, symmetry)) for i in range(n)]
-    orbits = []
-    for i in range(n):
-        j = image[i]
-        if j < i:
-            continue
-        orbits.append((i,) if j == i else (i, j))
-    return orbits
+        return [(i,) for i in range(dims.volume)]
+    image = orient_indices(dims, symmetry)  # an involution is its own inverse
+    return [(i,) if j == i else (i, j) for i, j in enumerate(image) if j >= i]
 
 
 def find_at_bound(

@@ -109,3 +109,14 @@ def min_percolating_brute(dims: GridDims, r: int) -> int:
             if len(final) == len(cells):
                 return size
     raise AssertionError("the whole grid always percolates")
+
+
+def orient_cell_brute(cell, src: GridDims, orientation) -> tuple:
+    """Image of one cell under an orientation (perm, flips): coordinate j of
+    the image reads source coordinate perm[j], mirrored when flips[j]."""
+    perm, flips = orientation
+    sides = src.as_tuple()
+    return tuple(
+        sides[perm[j]] + 1 - cell[perm[j]] if flips[j] else cell[perm[j]]
+        for j in range(3)
+    )

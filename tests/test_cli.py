@@ -91,6 +91,14 @@ def test_build_dependency_error_exit(capsys):
     assert code == 1
 
 
+def test_build_bad_catalog_exit(tmp_path, capsys):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("wat\n")
+    code = main(["build", "perfect", "1", "3", "3", "--catalog", str(catalog)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: expected 'entry'")
+
+
 def test_search_exhaustive(capsys):
     code, out = run_cli(capsys, "--machine", "search", "exhaustive", "2", "2", "3")
     record = json.loads(out.splitlines()[0])

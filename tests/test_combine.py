@@ -90,7 +90,7 @@ def test_combine_rejects_dimension_mismatch(builder):
 
 def test_combine_failure_is_loud():
     # a fake "perfect" part that cannot actually percolate its octant makes
-    # every orientation fail and the error carries diagnostics
+    # the placement fail and the error carries diagnostics
     dims = GridDims(1, 3, 3)
     dead = CellSet.from_cells(dims, [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2)])
     fake = CatalogEntry(dims, dead, Status.PERFECT, "unit-test")

@@ -15,6 +15,7 @@ from gridperc.families import (
     write_patterns,
 )
 from gridperc.grid import CellSet, GridDims
+from gridperc.gridtext import ParseError
 from gridperc.search import SearchError
 
 
@@ -40,6 +41,16 @@ def test_bad_block_count_rejected():
     block = CellSet.from_cells(GridDims(a, b, 6), [(1, 1, 1)])  # 1 cell, needs 14
     with pytest.raises(FamilyError):
         FamilyPattern("2x5", a, b, 5, 5, left, block, right)
+
+
+def test_duplicate_pattern_rejected(patterns):
+    # 1 header, 2 blank, 3 the first record; the copy starts after it
+    record = write_patterns([patterns["2x5"]])
+    second = record.count("\n") + 2
+    with pytest.raises(ParseError) as err:
+        parse_patterns(record + record.partition("\n")[2])
+    assert "duplicate pattern '2x5'" in str(err.value)
+    assert str(err.value).endswith(f"(line {second})")
 
 
 def test_per_period_increment_matches_bound():

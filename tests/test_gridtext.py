@@ -113,6 +113,7 @@ STORES = {
         ("catalog", 4, "bogus line", "unknown header 'bogus line'", 4),
         ("catalog", 9, "", "missing 'end'", 5),
         ("catalog", 3, "entry 1x3x4:perfect", "does not match key", 3),
+        ("catalog", 4, "rng-seed x", "bad rng-seed 'x' for 1x3x3:perfect", 3),
         ("patterns", 10, "Q.", "bad left block for 2x5: unknown glyph 'Q'", 10),
         ("patterns", 6, "", "pattern '2x5' has no 'min-c' header", 3),
         ("patterns", 5, "residue x mod 6", "bad pattern record '2x5'", 3),
