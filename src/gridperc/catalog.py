@@ -46,9 +46,9 @@ class CatalogEntry:
     def size(self) -> int:
         return len(self.seeds)
 
-    def verify(self, r: int = 3) -> "CatalogEntry":
+    def verify(self) -> "CatalogEntry":
         """Re-simulate; raises unless the witness earns at least its status."""
-        result = classify(self.dims, self.seeds, r=r)
+        result = classify(self.dims, self.seeds)
         if result.status < self.status:
             raise CatalogError(
                 f"{self.key}: stored witness classifies as {result.status}, "
@@ -91,9 +91,9 @@ class Catalog:
         entry = self.entries.get(entry_key(dims, status))
         return None if entry is None else entry.reoriented(dims)
 
-    def verify_all(self, r: int = 3) -> None:
+    def verify_all(self) -> None:
         for key in sorted(self.entries):
-            self.entries[key] = self.entries[key].verify(r=r)
+            self.entries[key] = self.entries[key].verify()
 
     def dump(self) -> str:
         return "# gridperc witness catalog v1\n" + "".join(

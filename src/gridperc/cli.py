@@ -140,13 +140,13 @@ def cmd_combine(args) -> int:
     parts = []
     for path in (args.p1, args.p2, args.p3, args.p4):
         dims, seeds = _read_seed_file(path)
-        result = classify(dims, seeds, r=args.r)
+        result = classify(dims, seeds)
         if result.status < Status.OPTIMAL:
             print(f"error: part {path} ({dims}) classifies as {result.status}",
                   file=sys.stderr)
             return EXIT_FAILED
         parts.append(CatalogEntry(dims, seeds, result.status, f"file {path}"))
-    entry = combine(*parts, r=args.r)
+    entry = combine(*parts)
     record = {
         "record": "combine",
         "dims": str(entry.dims),
@@ -308,10 +308,10 @@ def make_parser() -> argparse.ArgumentParser:
                         help="JSON record output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, r=True):
-        if r:
-            p.add_argument("--r", type=int, default=3, help="infection threshold")
-        p.add_argument("--max-steps", type=int, default=None)
+    def add_r(p):
+        p.add_argument("--r", type=int, default=3, help="infection threshold")
+
+    def add_out(p):
         p.add_argument("--out", "-o", help="write the witness/seed text here")
 
     p = sub.add_parser("bound", help="lower bound and perfectness precondition")
@@ -320,26 +320,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("c", type=int)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("simulate", help="run the process on a seed file")
-    p.add_argument("seedfile")
+    def add_seed_file_command(name, func, help_text):
+        # these simulate a seed file, so they alone take a step cap
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("seedfile")
+        add_r(p)
+        p.add_argument("--max-steps", type=int, default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = add_seed_file_command("simulate", cmd_simulate, "run the process on a seed file")
     p.add_argument("--trace", action="store_true", help="print infection times")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="classify a seed file")
-    p.add_argument("seedfile")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render", help="infection-time rendering of a seed file")
-    p.add_argument("seedfile")
-    add_common(p)
-    p.set_defaults(func=cmd_render)
+    add_seed_file_command("verify", cmd_verify, "classify a seed file")
+    add_seed_file_command("render", cmd_render, "infection-time rendering of a seed file")
 
     p = sub.add_parser("combine", help="compose four part witnesses")
     for name in ("p1", "p2", "p3", "p4"):
         p.add_argument(name)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("build", help="construct a perfect/optimal witness")
@@ -348,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--catalog", help="witness catalog path (default: built-in)")
-    add_common(p, r=False)
+    add_out(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("search", help="exhaustive or stochastic search")
@@ -362,7 +360,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=40)
     p.add_argument("--iterations", type=int, default=20_000)
     p.add_argument("--catalog-out", help="record the witness in this catalog file")
-    add_common(p)
+    add_r(p)
+    add_out(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("family", help="periodic family patterns")
@@ -372,7 +371,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", help="pattern store path (default: built-in)")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
-    add_common(p, r=False)
+    add_out(p)
     p.set_defaults(func=cmd_family)
 
     return parser

@@ -33,7 +33,6 @@ def combine(
     p2: CatalogEntry,
     p3: CatalogEntry,
     p4: CatalogEntry,
-    r: int = 3,
 ) -> CatalogEntry:
     """Compose four part witnesses into one for the summed grid.
 
@@ -69,7 +68,7 @@ def combine(
         union = union | embed(part.seeds, target, offset)
     if len(union) != sum(part.size for part in parts):
         raise GridError("octants overlap; placement is inconsistent")
-    result = classify(target, union, r=r)
+    result = classify(target, union)
     if result.status < status:
         raise CombineError(
             f"combined {target} from parts {[p.key for p in parts]} classifies as "

@@ -23,7 +23,7 @@ from pathlib import Path
 from .bounds import Status, classify, surface_sum
 from .catalog import CatalogEntry
 from .engine import degree_pair_sum
-from .grid import CellSet, GridDims, embed
+from .grid import CellSet, GridDims
 from .gridtext import ParseError, read_records, write_record
 from .search import (
     AnnealParams,
@@ -50,7 +50,7 @@ class FamilyPattern:
     b: int
     residue: int
     min_c: int
-    left: CellSet    # over (a, b, wL); wL may be 0 columns wide
+    left: CellSet    # over (a, b, wL)
     block: CellSet   # over (a, b, 6)
     right: CellSet   # over (a, b, wR)
     rng_seed: int | None = None
@@ -82,18 +82,42 @@ class FamilyPattern:
                 f"c={c} not admissible for family {self.family_id} "
                 f"(needs c ≡ {self.residue} (mod 6), c >= {self.min_c})"
             )
-        dims = GridDims(self.a, self.b, c)
-        reps = (c - self.min_c) // 6
-        out = embed(self.left, dims, (0, 0, 0))
-        z = self.left.dims.c
-        for _ in range(reps):
-            out = out | embed(self.block, dims, (0, 0, z))
-            z += 6
-        out = out | embed(self.right, dims, (0, 0, z))
-        return out
+        left, right = self.left, self.right
+        mask = _splice(self.a * self.b, left.mask, left.dims.c, self.block.mask,
+                       (c - self.min_c) // 6, right.mask, right.dims.c)
+        return CellSet(GridDims(self.a, self.b, c), mask)
 
 
-def assemble_family(pattern: FamilyPattern, c: int, r: int = 3) -> CatalogEntry:
+def _cut(mask: int, rows: int, width: int, seam: int) -> tuple[int, int]:
+    """Each ``width``-bit row of ``mask`` split at column ``seam``: the left
+    parts packed ``seam`` bits a row, and the right parts packed
+    ``width - seam`` bits a row."""
+    left = right = 0
+    wr = width - seam
+    for row in range(rows):
+        bits = mask >> (row * width) & ((1 << width) - 1)
+        left |= (bits & ((1 << seam) - 1)) << (row * seam)
+        right |= bits >> seam << (row * wr)
+    return left, right
+
+
+def _splice(rows: int, left: int, wl: int, block: int, k: int, right: int, wr: int) -> int:
+    """Per row, the row of ``left`` (``wl`` bits), k copies of the row of
+    ``block`` (6 bits), then the row of ``right`` (``wr`` bits).  Any part
+    may be 0, so parts can be spliced apart and OR-ed together."""
+    c = wl + 6 * k + wr
+    repeat = ((1 << 6 * k) - 1) // 63 << wl  # bit wl+6j set for j < k: k copies of a 6-bit row
+    left_row, right_row, right_at = (1 << wl) - 1, (1 << wr) - 1, wl + 6 * k
+    mask = 0
+    for at in range(0, rows * c, c):
+        mask |= (left & left_row | (block & 63) * repeat | (right & right_row) << right_at) << at
+        left >>= wl
+        block >>= 6
+        right >>= wr
+    return mask
+
+
+def assemble_family(pattern: FamilyPattern, c: int) -> CatalogEntry:
     """Assembled, size-checked, simulation-verified perfect witness."""
     seeds = pattern.seed_set(c)
     dims = seeds.dims
@@ -104,7 +128,7 @@ def assemble_family(pattern: FamilyPattern, c: int, r: int = 3) -> CatalogEntry:
         raise FamilyError(
             f"assembled size {len(seeds)} differs from the bound {expected} on {dims}"
         )
-    result = classify(dims, seeds, r=r)
+    result = classify(dims, seeds)
     if result.status is not Status.PERFECT:
         raise FamilyError(
             f"assembly of family {pattern.family_id} at c={c} is not perfect "
@@ -121,16 +145,20 @@ def assemble_family(pattern: FamilyPattern, c: int, r: int = 3) -> CatalogEntry:
     return entry
 
 
+# The block annealer cools from T_START to T_END, and a move places a seed
+# under an uninfected cell with probability FRONTIER_BIAS.  A hit is checked on
+# VALIDATE_REPS further instances before it is returned.
+T_START = 2.0
+T_END = 0.02
+FRONTIER_BIAS = 0.7
+VALIDATE_REPS = 4
+
+
 @dataclass(frozen=True)
 class DiscoveryParams:
     restarts: int = 12
     iterations: int = 120_000
-    t_start: float = 2.0
-    t_end: float = 0.02
-    frontier_bias: float = 0.7
     stagnation: int = 20_000
-    validate_reps: int = 4  # extra instances checked after a hit
-    staged: bool = True  # anneal on k=1 alone, gate k=2 behind a k=1 hit
 
 
 def discover_family(
@@ -149,10 +177,10 @@ def discover_family(
     (a, b, min_c) is found with the plain at-bound annealer; this pins the
     boundary columns.  Then, for each seam position splitting that witness
     into left/right boundaries, a 6-column block with exactly 2(a+b) seeds is
-    annealed against the c = min_c+6 and min_c+12 assemblies simultaneously,
-    with placement biased into the columns where the larger assembly still
-    has uninfected cells.  A hit is re-validated on further instances before
-    being returned; a validation failure resumes the search.
+    annealed against the c = min_c+6 assembly, with placement biased into the
+    block columns where it still has uninfected cells.  A hit must also
+    percolate at c = min_c+12, and is then validated on further instances;
+    a failure at either check resumes the search.
     """
     params = params or DiscoveryParams()
     if min_c % 6 != residue % 6:
@@ -167,60 +195,37 @@ def discover_family(
     if 3 * m_target != surface_sum(mdims):
         raise SearchError(f"minimal instance {mdims} has non-integral bound")
     b_target = 2 * (a + b)
+    rows = a * b
 
     inst_dims = [GridDims(a, b, min_c + 6 * k) for k in (1, 2)]
     scale = 2 * inst_dims[-1].volume + 1
     nodes = 0
     bnm = neighbour_masks(bdims)
-    m_row = (1 << min_c) - 1
     witness_parts: dict[tuple[int, int, int], int] = {}
 
-    def assemble_mask(m_mask: int, b_mask: int, seam: int, k: int, dims: GridDims) -> int:
-        """Assembled bitset with k block copies inserted at the seam column.
+    def assemble_mask(m_mask: int, b_mask: int, seam: int, k: int) -> int:
+        """The witness cut at the seam column with k block copies spliced in.
 
-        Row by row: each (x, y) row of the witness is cut at the seam and its
-        right part moved 6k columns on (cached, since the witness stays
-        pinned); each row of the block goes in as k adjacent copies.
+        The witness's part is cached, since the witness stays pinned.
         """
-        c = dims.c
-        mask = witness_parts.get((m_mask, seam, k))
-        if mask is None:
-            mask = 0
-            for row in range(a * b):
-                bits = m_mask >> (row * min_c) & m_row
-                mask |= (bits & ((1 << seam) - 1) | bits >> seam << (seam + 6 * k)) << (row * c)
-            witness_parts[(m_mask, seam, k)] = mask
-        repeat = ((1 << 6 * k) - 1) // 63  # bit 6j set for j < k: k copies of a 6-bit row
-        for row in range(a * b):
-            mask |= (b_mask >> (6 * row) & 63) * repeat << (row * c + seam)
-        return mask
+        wr = min_c - seam
+        part = witness_parts.get((m_mask, seam, k))
+        if part is None:
+            left, right = _cut(m_mask, rows, min_c, seam)
+            part = witness_parts[(m_mask, seam, k)] = _splice(rows, left, seam, 0, k, right, wr)
+        return part | _splice(rows, 0, seam, b_mask, k, 0, wr)
 
-    def evaluate(m_mask: int, b_mask: int, seam: int, ks: tuple[int, ...]) -> tuple[int, int, int]:
-        """(objective over the given instances, total uninfected, hole mask).
-
-        The hole mask comes from the largest instance evaluated, mapped for
-        placement bias.
-        """
+    def evaluate(m_mask: int, b_mask: int, seam: int, k: int) -> tuple[int, int, int]:
+        """(objective, uninfected count, hole mask) of the k-copy instance."""
         nonlocal nodes
-        total_obj = 0
-        total_uninf = 0
-        hole = 0
-        for k in ks:
-            dims = inst_dims[k - 1]
-            mask = assemble_mask(m_mask, b_mask, seam, k, dims)
-            cset = CellSet(dims, mask)
-            if degree_pair_sum(dims, cset) > 0:
-                # dependent assembly can never be perfect; heavy penalty
-                total_obj += scale * dims.volume
-                total_uninf += dims.volume
-                continue
-            final, uninf, prog = fixed_point_scored(dims, 3, mask)
-            nodes += 1
-            total_obj += uninf * scale - prog
-            total_uninf += uninf
-            if k == max(ks):
-                hole = ~final & ((1 << dims.volume) - 1)
-        return total_obj, total_uninf, hole
+        dims = inst_dims[k - 1]
+        mask = assemble_mask(m_mask, b_mask, seam, k)
+        if degree_pair_sum(dims, CellSet(dims, mask)) > 0:
+            # dependent assembly can never be perfect; heavy penalty
+            return scale * dims.volume, dims.volume, 0
+        final, uninf, prog = fixed_point_scored(dims, 3, mask)
+        nodes += 1
+        return uninf * scale - prog, uninf, ~final & ((1 << dims.volume) - 1)
 
     def random_block() -> int | None:
         order = list(range(b_n))
@@ -235,13 +240,13 @@ def discover_family(
                 got += 1
         return mask if got == b_target else None
 
-    def hole_to_block(hole_cell: int, seam: int, k: int) -> int | None:
-        """Map an uninfected cell of the k-copy instance into block coordinates."""
-        dims = inst_dims[k - 1]
-        x, rest = divmod(hole_cell, b * dims.c)
-        y, z = divmod(rest, dims.c)
-        if seam <= z < seam + 6 * k:
-            return x * b * 6 + y * 6 + ((z - seam) % 6)
+    def hole_to_block(hole_cell: int, seam: int) -> int | None:
+        """Map an uninfected cell of the one-copy instance into block coordinates."""
+        c = inst_dims[0].c
+        x, rest = divmod(hole_cell, b * c)
+        y, z = divmod(rest, c)
+        if seam <= z < seam + 6:
+            return x * b * 6 + y * 6 + z - seam
         return None
 
     seams = list(range(1, min_c))
@@ -256,16 +261,13 @@ def discover_family(
             continue
         m_mask = m_res.witness.mask
 
-        # phase 2: per seam, anneal the block; staged mode scores k=1 alone
-        # and gates the k=2 check behind a k=1 hit
-        anneal_ks = (1,) if params.staged else (1, 2)
-        hole_k = max(anneal_ks)
+        # phase 2: per seam, anneal the block on the one-copy instance
         for seam in seams:
             b_mask = random_block()
             if b_mask is None:
                 continue
-            obj, uninf, hole = evaluate(m_mask, b_mask, seam, anneal_ks)
-            schedule = Schedule(params.t_start, params.t_end, params.iterations, scale)
+            obj, uninf, hole = evaluate(m_mask, b_mask, seam, 1)
+            schedule = Schedule(T_START, T_END, params.iterations, scale)
             for _ in range(params.iterations):
                 if node_budget is not None and nodes >= node_budget:
                     raise SearchError(
@@ -274,26 +276,26 @@ def discover_family(
                     )
                 old = random_bit(rng, b_mask)
                 new = None
-                if hole and rng.random() < params.frontier_bias:
-                    new = hole_to_block(random_bit(rng, hole), seam, hole_k)
+                if hole and rng.random() < FRONTIER_BIAS:
+                    new = hole_to_block(random_bit(rng, hole), seam)
                 if new is None:
                     new = rng.randrange(b_n)
                 if new == old or (b_mask >> new) & 1:
                     continue
                 trial = (b_mask & ~(1 << old)) | (1 << new)
-                t_obj, t_uninf, t_hole = evaluate(m_mask, trial, seam, anneal_ks)
+                t_obj, t_uninf, t_hole = evaluate(m_mask, trial, seam, 1)
                 if schedule.step(rng, obj, t_obj):
                     b_mask = trial
                     obj, uninf, hole = t_obj, t_uninf, t_hole
                     if uninf == 0:
-                        if params.staged and evaluate(m_mask, b_mask, seam, (2,))[1] != 0:
+                        if evaluate(m_mask, b_mask, seam, 2)[1] != 0:
                             # no progress, and no stagnation check until the next move
                             schedule.since += 1
                             continue
                         pattern = _pattern_from_masks(
                             fid, a, b, residue, min_c, seam, m_mask, b_mask, rng_seed
                         )
-                        if _validate(pattern, params.validate_reps):
+                        if _validate(pattern):
                             return pattern
                 if schedule.since > params.stagnation:
                     break  # this seam looks hopeless with this witness
@@ -305,27 +307,18 @@ def _pattern_from_masks(
     fid: str, a: int, b: int, residue: int, min_c: int,
     seam: int, m_mask: int, b_mask: int, rng_seed: int,
 ) -> FamilyPattern:
-    mdims = GridDims(a, b, min_c)
-    mset = CellSet(mdims, m_mask)
-    left_cells = []
-    right_cells = []
-    for (x, y, z) in mset.cells():
-        if z <= seam:
-            left_cells.append((x, y, z))
-        else:
-            right_cells.append((x, y, z - seam))
-    wl, wr = seam, min_c - seam
-    left = CellSet.from_cells(GridDims(a, b, wl), left_cells)
-    right = CellSet.from_cells(GridDims(a, b, wr), right_cells)
+    left, right = _cut(m_mask, a * b, min_c, seam)
     return FamilyPattern(
         family_id=fid, a=a, b=b, residue=residue, min_c=min_c,
-        left=left, block=CellSet(GridDims(a, b, 6), b_mask), right=right,
+        left=CellSet(GridDims(a, b, seam), left),
+        block=CellSet(GridDims(a, b, 6), b_mask),
+        right=CellSet(GridDims(a, b, min_c - seam), right),
         rng_seed=rng_seed,
     )
 
 
-def _validate(pattern: FamilyPattern, extra_reps: int) -> bool:
-    for k in range(3, 3 + extra_reps):
+def _validate(pattern: FamilyPattern) -> bool:
+    for k in range(3, 3 + VALIDATE_REPS):
         c = pattern.min_c + 6 * k
         try:
             assemble_family(pattern, c)

@@ -18,8 +18,6 @@ from .grid import Cell, GridDims
 
 RegionPredicate = Callable[[Cell], bool]
 
-INFINITE = None  # region never completes
-
 
 @dataclass(frozen=True)
 class Region:
@@ -43,21 +41,13 @@ class Region:
     def full(dims: GridDims) -> "Region":
         return Region("full grid", lambda cell: True)
 
-    def cells(self, dims: GridDims) -> list[Cell]:
-        return [cell for cell in dims.cells() if self.predicate(cell)]
-
 
 @dataclass(frozen=True)
 class Milestone:
-    """First time a region is fully infected; None when it never is.
-
-    ``reasons`` names earlier milestones that explain this one; extraction
-    leaves it empty, timeline writers may annotate.
-    """
+    """First time a region is fully infected; None when it never is."""
 
     region: str
     time: int | None
-    reasons: tuple[str, ...] = ()
 
     @property
     def completed(self) -> bool:
@@ -68,15 +58,9 @@ def extract_milestones(trace: PercolationTrace, regions: Sequence[Region]) -> li
     """Completion time per region, ordered by time (incomplete regions last)."""
     out = []
     for region in regions:
-        cells = region.cells(trace.dims)
-        worst = 0
-        for cell in cells:
-            t = trace.infection_time[trace.dims.index(cell)]
-            if t is None:
-                worst = None
-                break
-            worst = max(worst, t)
-        out.append(Milestone(region.name, worst if cells else 0))
+        inside = region.predicate
+        times = [t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]
+        out.append(Milestone(region.name, None if None in times else max(times, default=0)))
     out.sort(key=lambda m: (m.time is None, m.time if m.time is not None else 0))
     return out
 

@@ -236,19 +236,23 @@ class Schedule:
         self.since = 0
 
 
+# The at-bound annealer cools from T_START to T_END, and a move resettles a
+# seed inside the uninfected region with probability FRONTIER_BIAS.
+T_START = 3.0
+T_END = 0.05
+FRONTIER_BIAS = 0.65
+
+
 @dataclass(frozen=True)
 class AnnealParams:
-    """Annealing schedule; defaults find (3,3,3) at bound in well under a second.
+    """Annealing budget; defaults find (3,3,3) at bound in well under a second.
 
-    On stagnation the temperature is reheated to half of t_start rather than
+    On stagnation the temperature is reheated to half of T_START rather than
     restarting, up to the per-restart iteration budget.
     """
 
     restarts: int = 40
     iterations: int = 20_000
-    t_start: float = 3.0
-    t_end: float = 0.05
-    frontier_bias: float = 0.65
     stagnation: int = 4_000
 
 
@@ -256,7 +260,11 @@ def _orbits_under(dims: GridDims, symmetry: Orientation | None) -> list[tuple[in
     """Cell orbits under one involutive symmetry (singletons when None)."""
     if symmetry is None:
         return [(i,) for i in range(dims.volume)]
-    image = orient_indices(dims, symmetry)  # an involution is its own inverse
+    if symmetry not in automorphisms(dims):
+        raise SearchError(f"symmetry {symmetry} is not an automorphism of {dims}")
+    image = orient_indices(dims, symmetry)
+    if any(image[j] != i for i, j in enumerate(image)):
+        raise SearchError(f"symmetry {symmetry} is not an involution")
     return [(i,) if j == i else (i, j) for i, j in enumerate(image) if j >= i]
 
 
@@ -278,7 +286,8 @@ def find_at_bound(
 
     With ``symmetry`` (an involutive grid automorphism), only seed sets fixed
     by it are explored and moves relocate whole cell orbits: half the search
-    dimensions, at the cost of missing asymmetric witnesses.
+    dimensions, at the cost of missing asymmetric witnesses.  Any other
+    orientation raises SearchError: its cell pairs would not be orbits.
     """
     n = dims.volume
     _, ceil = lower_bound(dims)
@@ -351,7 +360,7 @@ def find_at_bound(
         if uninf == 0:
             return SearchResult(dims, SearchMode.HEURISTIC_WITNESS, None, CellSet(dims, mask), nodes, rng_seed)
 
-        schedule = Schedule(params.t_start, params.t_end, params.iterations, scale)
+        schedule = Schedule(T_START, T_END, params.iterations, scale)
         hole = ~final & ((1 << n) - 1)
         for _ in range(params.iterations):
             if node_budget is not None and nodes >= node_budget:
@@ -361,7 +370,7 @@ def find_at_bound(
             old_oi = picked[si]
             base = mask & ~orbit_mask[old_oi]
             base_edges = edges - added_edges(orbit_mask[old_oi], base)
-            if hole and rng.random() < params.frontier_bias:
+            if hole and rng.random() < FRONTIER_BIAS:
                 new_cell = random_bit(rng, hole)
             else:
                 new_cell = rng.randrange(n)

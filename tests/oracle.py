@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from gridperc.grid import GridDims
+from gridperc.grid import CellSet, GridDims, embed
 
 
 @lru_cache(maxsize=None)
@@ -120,3 +120,17 @@ def orient_cell_brute(cell, src: GridDims, orientation) -> tuple:
         sides[perm[j]] + 1 - cell[perm[j]] if flips[j] else cell[perm[j]]
         for j in range(3)
     )
+
+
+def family_seed_set_brute(pattern, c: int) -> CellSet:
+    """A family instance by embedding each part at its column offset: the
+    left boundary, then k = (c - min_c) / 6 block copies, then the right
+    boundary, one whole-grid ``embed`` per part."""
+    dims = GridDims(pattern.a, pattern.b, c)
+    reps = (c - pattern.min_c) // 6
+    out = embed(pattern.left, dims, (0, 0, 0))
+    z = pattern.left.dims.c
+    for _ in range(reps):
+        out = out | embed(pattern.block, dims, (0, 0, z))
+        z += 6
+    return out | embed(pattern.right, dims, (0, 0, z))

@@ -185,3 +185,35 @@ def test_family_list_reads_the_given_store(tmp_path, capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["id"] for r in records] == ["2x5copy"]
     assert records[0]["section"] == "2x5" and records[0]["min_c"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "perfect", "4", "6", "6", "--max-steps", "1"],
+    ["verify", "{d}", "--out", "{x}"],
+    ["combine", "{d}", "{p}", "{p}", "{d}", "--r", "2"],
+])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
+    # each command takes only the flags it reads
+    diamond, part = tmp_path / "d.txt", tmp_path / "p.txt"
+    diamond.write_text(DIAMOND_TEXT)
+    part.write_text(write_set(CellSet.full(GridDims(3, 3, 3))))
+    paths = {"d": diamond, "p": part, "x": tmp_path / "x.txt"}
+    code = main([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not paths["x"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{d}", "--r", "3", "--max-steps", "5", "--trace"],
+    ["verify", "{d}", "--r", "3", "--max-steps", "5"],
+    ["render", "{d}", "--r", "3", "--max-steps", "5"],
+    ["search", "exhaustive", "1", "3", "3", "--r", "3", "-o", "{x}"],
+    ["build", "perfect", "3", "3", "3", "--out", "{x}"],
+])
+def test_read_flags_still_parse(tmp_path, capsys, argv):
+    diamond = tmp_path / "d.txt"
+    diamond.write_text(DIAMOND_TEXT)
+    paths = {"d": diamond, "x": tmp_path / "x.txt"}
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    assert paths["x"].exists() == ("{x}" in argv)

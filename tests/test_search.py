@@ -113,6 +113,15 @@ def test_find_at_bound_symmetric_mode():
     assert classify(dims, result.witness).status is Status.PERFECT
 
 
+@pytest.mark.parametrize("sym", [
+    ((1, 0, 2), (False, True, False)),  # a 90-degree rotation: order 4
+    ((2, 1, 0), (False, False, False)),  # swaps sides 3 and 5: not an automorphism
+])
+def test_find_at_bound_rejects_symmetry_without_two_cell_orbits(sym):
+    with pytest.raises(SearchError):
+        find_at_bound(GridDims(3, 3, 5), 13, rng_seed=1, symmetry=sym)
+
+
 def test_automorphisms_preserve_percolation():
     # soundness of symmetry pruning: images of a percolating set percolate
     dims = GridDims(2, 3, 3)
