@@ -22,7 +22,6 @@ class SimulationTruncated(RuntimeError):
     """Fixed point not reached within max_steps; never silently reported."""
 
 
-@lru_cache(maxsize=512)
 def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
     """Per axis z, y, x: (shift, keep for ``<<``, keep for ``>>``), flattened.
 
@@ -30,9 +29,15 @@ def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
     axis is in ``m``, ``(m >> shift) & keep_hi`` those whose neighbour one step
     up is; the masks stop shifts from wrapping across rows and layers.  An
     axis of length 1 is (0, 0, 0), so both of its shifted masks are empty.
+    Cached by the side lengths, which hash in C; the frozen dims would run
+    their generated ``__hash__`` and ``__eq__`` on every call.
     """
-    a, b, c = dims.as_tuple()
-    n = dims.volume
+    return _side_shifts(dims.a, dims.b, dims.c)
+
+
+@lru_cache(maxsize=512)
+def _side_shifts(a: int, b: int, c: int) -> tuple[int, ...]:
+    n = a * b * c
     full = (1 << n) - 1
 
     col_first = 0  # z == 1
@@ -50,6 +55,24 @@ def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
     y = (c, full & ~row_first, full & ~row_last) if b > 1 else (0, 0, 0)
     x = (b * c, full, full) if a > 1 else (0, 0, 0)
     return z + y + x
+
+
+def neighbour_masks(dims: GridDims) -> list[int]:
+    """Per cell index, the bitmask of its grid neighbours.
+
+    A cell's bit moved one step along each axis direction and kept by that
+    direction's mask from ``_axis_shifts``.
+    """
+    shifts = _axis_shifts(dims)
+    axes = list(zip(shifts[::3], shifts[1::3], shifts[2::3]))
+    out = []
+    for i in range(dims.volume):
+        bit = 1 << i
+        m = 0
+        for shift, keep_lo, keep_hi in axes:
+            m |= bit << shift & keep_lo | bit >> shift & keep_hi
+        out.append(m)
+    return out
 
 
 def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:

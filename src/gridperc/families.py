@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bounds import Status, classify, surface_sum
 from .catalog import CatalogEntry
-from .engine import degree_pair_sum
+from .engine import degree_pair_sum, neighbour_masks
 from .grid import CellSet, GridDims
 from .gridtext import ParseError, read_records, write_record
 from .search import (
@@ -32,7 +32,6 @@ from .search import (
     SearchMode,
     find_at_bound,
     fixed_point_scored,
-    neighbour_masks,
     random_bit,
 )
 

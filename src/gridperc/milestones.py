@@ -14,32 +14,38 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import PercolationTrace
-from .grid import Cell, GridDims
+from .grid import CELL_CAP, Cell, GridDims
 
 RegionPredicate = Callable[[Cell], bool]
 
 
 @dataclass(frozen=True)
 class Region:
-    """A named set of cells given by a membership predicate."""
+    """A named set of cells given by a membership predicate.
+
+    A box region also carries its inclusive corners (lo, hi), which may reach
+    past the grid; extraction then reads it as index slices, clipped to the
+    grid, instead of asking the predicate cell by cell.
+    """
 
     name: str
     predicate: RegionPredicate
+    corners: tuple[Cell, Cell] | None = None
 
     @staticmethod
     def box(name: str, lo: Cell, hi: Cell) -> "Region":
         def inside(cell: Cell) -> bool:
             return all(lo[i] <= cell[i] <= hi[i] for i in range(3))
 
-        return Region(name, inside)
+        return Region(name, inside, (lo, hi))
 
     @staticmethod
     def layer(x: int) -> "Region":
-        return Region(f"layer {x}", lambda cell: cell[0] == x)
+        return Region(f"layer {x}", lambda cell: cell[0] == x, ((x, 1, 1), (x, CELL_CAP, CELL_CAP)))
 
     @staticmethod
     def full(dims: GridDims) -> "Region":
-        return Region("full grid", lambda cell: True)
+        return Region("full grid", lambda cell: True, ((1, 1, 1), (CELL_CAP,) * 3))
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,41 @@ def extract_milestones(trace: PercolationTrace, regions: Sequence[Region]) -> li
     """Completion time per region, ordered by time (incomplete regions last)."""
     out = []
     for region in regions:
-        inside = region.predicate
-        times = [t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]
-        out.append(Milestone(region.name, None if None in times else max(times, default=0)))
+        if region.corners is None:
+            inside = region.predicate
+            runs = [[t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]]
+        else:
+            times = trace.infection_time
+            runs = [times[start:stop] for start, stop in _box_runs(trace.dims, region.corners)]
+        time = 0
+        for run in runs:
+            if None in run:
+                time = None
+                break
+            time = max(time, max(run, default=0))
+        out.append(Milestone(region.name, time))
     out.sort(key=lambda m: (m.time is None, m.time if m.time is not None else 0))
     return out
+
+
+def _box_runs(dims: GridDims, corners: tuple[Cell, Cell]) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of the cells between corners, clipped to
+    the grid, one per row; rows that meet end to end are merged."""
+    sides = dims.as_tuple()
+    lo = [max(v, 1) for v in corners[0]]
+    hi = [min(v, side) for v, side in zip(corners[1], sides)]
+    if any(l > h for l, h in zip(lo, hi)):
+        return []
+    _, b, c = sides
+    runs: list[tuple[int, int]] = []
+    for x in range(lo[0], hi[0] + 1):
+        for y in range(lo[1], hi[1] + 1):
+            row = ((x - 1) * b + y - 1) * c
+            start, stop = row + lo[2] - 1, row + hi[2]
+            if runs and runs[-1][1] == start:
+                start = runs.pop()[0]
+            runs.append((start, stop))
+    return runs
 
 
 @dataclass(frozen=True)

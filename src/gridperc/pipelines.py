@@ -10,21 +10,24 @@ return has been verified by simulation.
 
 The paper's routes are the splits tried first: the thickness-4 congruence
 splits with a1 = a2 = 2, the thickness-7/8/9 offsets with their collision
-patch, and (6,7,7) as (3+3, 4+3, 4+3).  The generic search follows.  A
-perfect plan tries every split middle-out and skips one unless 3 divides the
-surface of each part.  An optimal plan is the perfect plan when the bound is
-an integer, else a catalog entry, else an optimal corner combined with three
-perfect parts, over all corners.  A grid no route reaches raises
-DependencyError.
+patch, and (6,7,7) as (3+3, 4+3, 4+3).  The generic search follows.  A split
+can carry a witness only when the three parts off the origin have integral
+bounds, and for fixed a1 and b1 that depends only on c1 mod 3; so the
+generic search walks each axis middle-out and, for each (a1, b1), only the
+residue classes of c1 that keep all three parts integral.  An optimal plan
+is the perfect plan when the bound is an integer, else a catalog entry, else
+an optimal corner combined with three perfect parts, over all corners.  A
+grid no route reaches raises DependencyError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import lru_cache
+from itertools import chain
 
-from .bounds import Status, surface_sum
-from .catalog import Catalog, CatalogEntry, builtin_catalog, entry_key
+from .bounds import Status
+from .catalog import Catalog, CatalogEntry, builtin_catalog
 from .combine import combine, octant_parts, thickness1_entry
 from .families import FamilyPattern, assemble_family, builtin_patterns
 from .grid import GridDims
@@ -68,14 +71,18 @@ Plan = Leaf | Combine
 
 @dataclass
 class Builder:
-    """Memoized planning and witness resolution over a catalog and family patterns."""
+    """Memoized planning and witness resolution over a catalog and family patterns.
+
+    The catalog's keys and the patterns' sections are read once, here.
+    """
 
     catalog: Catalog = field(default_factory=builtin_catalog)
     patterns: dict[str, FamilyPattern] = field(default_factory=builtin_patterns)
 
     def __post_init__(self) -> None:
         self._plans: dict[tuple[tuple[int, int, int], Status], Plan | None] = {}
-        self._resolved: dict[str, CatalogEntry] = {}
+        self._resolved: dict[tuple[tuple[int, int, int], Status], CatalogEntry] = {}
+        self._catalogued = {(e.dims.sorted().as_tuple(), e.status) for e in self.catalog.entries.values()}
         self._sections: dict[tuple[int, int], list[str]] = {}
         for fid, pattern in self.patterns.items():
             self._sections.setdefault((pattern.a, pattern.b), []).append(fid)
@@ -116,13 +123,13 @@ class Builder:
     def _build(self, dims: GridDims, status: Status) -> CatalogEntry:
         plan = self.plan(dims, status)
         if plan is None:
-            integral = surface_sum(dims) % 3 == 0
+            integral = _integral(*dims.as_tuple())
             detail = "bound is not an integer" if status is Status.PERFECT and not integral else ""
             raise DependencyError(dims, status, detail)
         return self._execute(plan).reoriented(dims)
 
     def _execute(self, plan: Plan) -> CatalogEntry:
-        key = entry_key(plan.dims, plan.status)
+        key = (plan.dims.as_tuple(), plan.status)
         if key in self._resolved:
             return self._resolved[key]
         if isinstance(plan, Combine):
@@ -159,34 +166,44 @@ class Builder:
 
     def _search(self, t: tuple[int, int, int], status: Status) -> Plan | None:
         a, b, c = t
-        dims = GridDims(a, b, c)
-        integral = (a * b + a * c + b * c) % 3 == 0
+        integral = _integral(a, b, c)
         if status is Status.OPTIMAL and integral:
             return self._plan(t, Status.PERFECT)
         if status is Status.PERFECT:
             if not integral:
                 return None
             if a == 1 and b == c and (b + 1) & b == 0:
-                return Leaf(dims, status, "thickness1", b.bit_length())
-        if entry_key(dims, status) in self.catalog.entries:
-            return Leaf(dims, status, "catalog")
+                return Leaf(GridDims(a, b, c), status, "thickness1", b.bit_length())
+        if (t, status) in self._catalogued:
+            return Leaf(GridDims(a, b, c), status, "catalog")
         family = self._family_match(t) if status is Status.PERFECT else None
         if family is not None:
-            return Leaf(dims, status, "family", family)
-        for split in chain(_paper_splits(t, status), _generic_splits(t, status)):
-            parts = octant_parts(split)
-            # the origin part's surface is then ≡ the whole's (mod 3)
-            if any((x * y + x * z + y * z) % 3 for x, y, z in parts[1:]):
-                continue
+            return Leaf(GridDims(a, b, c), status, "family", family)
+        plans = self._plans
+        statuses = (Status.PERFECT,) * 3 + (status,)
+        paper = [split for split in _paper_splits(t, status) if _integral_parts(split)]
+        for split in chain(paper, _generic_splits(t, status)):
             children = []
-            for part, part_status in zip(parts[::-1], (Status.PERFECT,) * 3 + (status,)):
-                child = self._plan(tuple(sorted(part)), part_status)
+            for part, part_status in zip(octant_parts(split)[::-1], statuses):
+                key = (tuple(sorted(part)), part_status)
+                child = plans[key] if key in plans else self._plan(*key)
                 if child is None:
                     break
                 children.append(child)
             else:
-                return Combine(dims, status, split, tuple(children[::-1]))
+                return Combine(GridDims(a, b, c), status, split, tuple(children[::-1]))
         return None
+
+
+def _integral(x: int, y: int, z: int) -> bool:
+    """Whether an x*y*z grid has an integral bound (xy + xz + yz) / 3."""
+    return (x * y + x * z + y * z) % 3 == 0
+
+
+def _integral_parts(split: Split) -> bool:
+    """Whether the three parts off the origin have integral bounds; the
+    origin part's surface is then ≡ the whole's (mod 3)."""
+    return all(_integral(*part) for part in octant_parts(split)[1:])
 
 
 def _paper_splits(t: tuple[int, int, int], status: Status) -> list[Split]:
@@ -219,21 +236,39 @@ def _paper_splits(t: tuple[int, int, int], status: Status) -> list[Split]:
 
 
 def _generic_splits(t: tuple[int, int, int], status: Status):
-    """Every split of t, middle-out on each axis.
+    """Every split of t with ``_integral_parts``, middle-out on each axis.
 
     Swapping the halves of two axes permutes the four parts, so a perfect
     plan needs only a1 <= a2 and b1 <= b2; an optimal one, whose origin part
-    is special, tries every corner.
+    is special, tries every corner.  For fixed a1 and b1 the surfaces of the
+    parts (a2, b2, c1), (a2, b1, c2) and (a1, b2, c2) mod 3 depend only on
+    c1 mod 3, so c1 walks only the admissible residue classes, in the same
+    middle-out order.
     """
     a, b, c = t
     if status is Status.PERFECT:
-        firsts = (range(a // 2, 0, -1), range(b // 2, 0, -1), _middle_out(c))
+        a_firsts, b_firsts = range(a // 2, 0, -1), range(b // 2, 0, -1)
     else:
-        firsts = (_middle_out(a), _middle_out(b), _middle_out(c))
-    for a1, b1, c1 in product(*firsts):
-        yield (a1, a - a1), (b1, b - b1), (c1, c - c1)
+        a_firsts, b_firsts = _middle_out(a)[0b111], _middle_out(b)[0b111]
+    if not (a_firsts and b_firsts):
+        return  # a thickness-1 grid: no split, and no ordering of 1 .. c-1 to build
+    c_classes = _middle_out(c)
+    for a1 in a_firsts:
+        a2 = a - a1
+        for b1 in b_firsts:
+            b2 = b - b1
+            keep = 0
+            for r in range(3):
+                if _integral(a2, b2, r) and _integral(a2, b1, c - r) and _integral(a1, b2, c - r):
+                    keep |= 1 << r
+            for c1 in c_classes[keep]:
+                yield (a1, a2), (b1, b2), (c1, c - c1)
 
 
-def _middle_out(n: int) -> list[int]:
-    return sorted(range(1, n), key=lambda i: abs(2 * i - n))
-
+@lru_cache(maxsize=64)
+def _middle_out(n: int) -> tuple[tuple[int, ...], ...]:
+    """1 .. n-1 from the middle outwards, restricted to each set of residues
+    mod 3: entry ``keep`` holds the i with bit ``i % 3`` of keep set, so
+    entry 0b111 is the whole order."""
+    order = sorted(range(1, n), key=lambda i: abs(2 * i - n))
+    return tuple(tuple(i for i in order if keep >> i % 3 & 1) for keep in range(8))

@@ -19,13 +19,12 @@ import random
 from dataclasses import dataclass
 
 from .bounds import lower_bound, surface_sum
-from .engine import at_least, count_planes, fixed_point_mask
+from .engine import at_least, count_planes, fixed_point_mask, neighbour_masks
 from .grid import (
     CellSet,
     GridDims,
     Orientation,
     automorphisms,
-    neighbours,
     orbit_minima,
     orient_indices,
 )
@@ -70,17 +69,6 @@ def min_22c(c: int) -> int:
     if c == 1:
         return 4  # 2x2x1 has maximum degree 2: no cell is ever infected
     return max((3 * c + 2) // 2, lower_bound(GridDims(2, 2, c))[1])
-
-
-def neighbour_masks(dims: GridDims) -> list[int]:
-    """Per cell index, the bitmask of its grid neighbours."""
-    out = []
-    for i in range(dims.volume):
-        m = 0
-        for nb in neighbours(dims, dims.cell(i)):
-            m |= 1 << dims.index(nb)
-        out.append(m)
-    return out
 
 
 def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -> SearchResult:

@@ -7,9 +7,10 @@ bitsets, no shift tricks.  Deliberately slow and obvious.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from gridperc.grid import CellSet, GridDims, embed
+from gridperc.bounds import Status
+from gridperc.grid import CellSet, GridDims, embed, neighbours
 
 
 @lru_cache(maxsize=None)
@@ -134,3 +135,39 @@ def family_seed_set_brute(pattern, c: int) -> CellSet:
         out = out | embed(pattern.block, dims, (0, 0, z))
         z += 6
     return out | embed(pattern.right, dims, (0, 0, z))
+
+
+def neighbour_masks_brute(dims: GridDims) -> list[int]:
+    """Per cell index, the bitmask of its grid neighbours, cell by cell."""
+    out = []
+    for i in range(dims.volume):
+        m = 0
+        for nb in neighbours(dims, dims.cell(i)):
+            m |= 1 << dims.index(nb)
+        out.append(m)
+    return out
+
+
+def generic_splits_brute(t: tuple[int, int, int], status: Status) -> list:
+    """The planner's generic splits by generating every split and filtering.
+
+    Each axis is walked middle-out (a perfect plan takes only a1 <= a2 and
+    b1 <= b2); a split is kept when 3 divides the surface ab + ac + bc of
+    each of its parts (a2, b2, c1), (a2, b1, c2) and (a1, b2, c2).
+    """
+    a, b, c = t
+
+    def middle_out(n):
+        return sorted(range(1, n), key=lambda i: abs(2 * i - n))
+
+    if status is Status.PERFECT:
+        firsts = (range(a // 2, 0, -1), range(b // 2, 0, -1), middle_out(c))
+    else:
+        firsts = (middle_out(a), middle_out(b), middle_out(c))
+    out = []
+    for a1, b1, c1 in product(*firsts):
+        a2, b2, c2 = a - a1, b - b1, c - c1
+        parts = ((a2, b2, c1), (a2, b1, c2), (a1, b2, c2))
+        if all((x * y + x * z + y * z) % 3 == 0 for x, y, z in parts):
+            out.append(((a1, a2), (b1, b2), (c1, c2)))
+    return out

@@ -6,14 +6,16 @@ partial set whose union with all later cells does not percolate.  These
 tests hold both to ``tests/oracle.py``.
 """
 
+from itertools import product
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridperc.engine import _axis_shifts, _count_planes, count_planes, fixed_point_mask
+from gridperc.engine import _axis_shifts, _count_planes, count_planes, fixed_point_mask, neighbour_masks
 from gridperc.grid import CellSet, GridDims
 from gridperc.search import fixed_point_scored, min_exhaustive
 
-from oracle import fixed_point_brute, min_percolating_brute, neighbours_brute
+from oracle import fixed_point_brute, min_percolating_brute, neighbour_masks_brute, neighbours_brute
 from test_trace_properties import PROPERTY, seeded_grids
 
 
@@ -76,3 +78,9 @@ def test_min_exhaustive_equals_brute_minimum_on_volume_up_to_12():
                     final, _ = fixed_point_brute(dims, r, set(result.witness.cells()))
                     assert len(final) == dims.volume
                     assert len(result.witness) == result.min_size
+
+
+def test_neighbour_masks_match_the_per_cell_masks():
+    for sides in product(range(1, 6), repeat=3):
+        dims = GridDims(*sides)
+        assert neighbour_masks(dims) == neighbour_masks_brute(dims), dims
