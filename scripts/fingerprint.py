@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Fingerprint gridperc's observable results, to check that a change keeps them.
+
+Imports ``gridperc`` from ``--src`` (a directory holding the package, such as
+a checkout's ``src``) and runs it on the benchmark's seeded inputs, read from
+this repository's ``bench/workloads.py`` and left unchanged.  Writes one JSON
+document to ``--out`` and prints its SHA-256; two trees with the same hash
+gave the same results.  The document holds:
+
+- ``repr(Builder().plan(d, s))`` for every sorted grid with sides <= 30 and
+  both statuses;
+- every ``build`` request's witness (or error message) at seeds 1 and 2;
+- every ``search`` request's result (or error message) at seeds 1 and 2:
+  ``find_at_bound`` and ``min_exhaustive`` results and the discovery messages;
+- the unbudgeted 2x5 discovery at rng seed 1 (acceptance criterion 5);
+- per ``verify`` input at seeds 1 and 2: status, ``percolates``,
+  ``steps_taken``, the audit, ``render_trace``, milestones, ``infection_time``
+  and ``neighbours_at_infection``.
+
+Masks are written in hex.  Takes about 16 s on a 2-vCPU VM.
+
+Usage: python scripts/fingerprint.py [--src PATH] [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+PLAN_MAX_SIDE = 30
+
+
+def _mask(cset) -> str | None:
+    return None if cset is None else format(cset.mask, "x")
+
+
+def plans(gp) -> list:
+    builder = gp.Builder()
+    n = PLAN_MAX_SIDE
+    return [
+        [[a, b, c], str(status), repr(builder.plan(gp.GridDims(a, b, c), status))]
+        for a in range(1, n + 1) for b in range(a, n + 1) for c in range(b, n + 1)
+        for status in (gp.Status.PERFECT, gp.Status.OPTIMAL)
+    ]
+
+
+def builds(gp, workload, seed: int) -> list:
+    builder = workload.new_state()
+    out = []
+    for req in workload.make_inputs(seed):
+        try:
+            entry, text = workload.run(req, builder)
+        except gp.DependencyError as exc:
+            out.append([list(req), "error", str(exc)])
+            continue
+        out.append([list(req), str(entry.status), entry.provenance, _mask(entry.seeds), text])
+    return out
+
+
+def searches(gp, workload, seed: int) -> list:
+    out = []
+    for req in workload.make_inputs(seed):
+        try:
+            result = workload.run(req, None)
+        except gp.SearchError as exc:
+            out.append([list(req), "error", str(exc)])
+            continue
+        if req[0] == "discover":
+            out.append([list(req), repr(result)])
+        else:
+            out.append([list(req), str(result.mode), result.min_size, result.nodes_explored,
+                        _mask(result.witness)])
+    return out
+
+
+def verifies(gp, workload, seed: int) -> list:
+    """The workload's verify steps (trace first), then every status attribute."""
+    out = []
+    for req in workload.make_inputs(seed):
+        dims, seeds = gp.parse_set(req["text"])
+        result = gp.classify(dims, seeds)
+        audit = gp.perfect_audit(result.trace, seeds)
+        rendered = gp.render_trace(result.trace)
+        milestones = None
+        if req["family"]:
+            regions = [gp.Region.full(dims)] + [gp.Region.layer(x) for x in range(1, dims.a + 1)]
+            milestones = [[m.region, m.time] for m in gp.extract_milestones(result.trace, regions)]
+        trace = result.trace
+        out.append({
+            "label": req["label"],
+            "status": str(result.status),
+            "percolates": result.percolates,
+            "steps_taken": result.steps_taken,
+            "final": _mask(result.final),
+            "audit": [audit.seeds_independent, audit.all_exactly_three, audit.no_adjacent_simultaneous,
+                      list(audit.excess_infections), [list(p) for p in audit.adjacent_same_step]],
+            "render": rendered,
+            "milestones": milestones,
+            "infection_time": list(trace.infection_time),
+            "neighbours_at_infection": list(trace.neighbours_at_infection),
+        })
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the gridperc package")
+    parser.add_argument("--out", default="fingerprint.json", help="where to write the JSON document")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import gridperc as gp
+    import workloads
+
+    if Path(gp.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"gridperc imported from {gp.__file__}, not from {src}")
+    w = workloads.WORKLOADS
+    doc = {
+        "plans": plans(gp),
+        "build": {seed: builds(gp, w["build"], seed) for seed in SEEDS},
+        "search": {seed: searches(gp, w["search"], seed) for seed in SEEDS},
+        "discover_live": repr(gp.discover_family(2, 5, 5, 5, rng_seed=1, family_id="2x5",
+                                                 params=gp.families.DiscoveryParams())),
+        "verify": {seed: verifies(gp, w["verify"], seed) for seed in SEEDS},
+    }
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    Path(args.out).write_bytes(data)
+    print(hashlib.sha256(data).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -69,57 +69,70 @@ class Classification:
 
     ``status`` speaks only about this set: OPTIMAL means the set's size equals
     the ceiling of the bound, not that no smaller set exists (grid-level
-    minimality is the search module's job).  The status comes from the
-    untraced fixed point; ``trace`` is simulated the first time it is read.
+    minimality is the search module's job).
+
+    The set is simulated once, on first need.  When ``trace`` is read first,
+    ``status``, ``percolates``, ``final`` and ``steps_taken`` are read off it;
+    when one of those is read first, they come from the untraced fixed point,
+    and ``trace`` is simulated only if it is read later.
     """
 
     dims: GridDims
-    percolates: bool
     size: int
     lower_bound_exact: Fraction
     lower_bound_ceil: int
-    status: Status
     seeds: CellSet = field(repr=False)
     r: int = field(repr=False)
     max_steps: int | None = field(repr=False)
-    final: CellSet = field(repr=False)
-    steps_taken: int = field(repr=False)
 
     @cached_property
     def trace(self) -> PercolationTrace:
         return percolate(self.dims, self.r, self.seeds, self.max_steps)
 
+    @cached_property
+    def _outcome(self) -> tuple[int, int]:
+        """(final mask, steps taken), off the trace if it was already read."""
+        trace = self.__dict__.get("trace")
+        if trace is not None:
+            return trace.final_mask, trace.steps_taken
+        return fixed_point_mask(self.dims, self.r, self.seeds.mask, self.max_steps)
+
+    @property
+    def percolates(self) -> bool:
+        return self._outcome[0] == (1 << self.dims.volume) - 1
+
+    @property
+    def final(self) -> CellSet:
+        return CellSet(self.dims, self._outcome[0])
+
+    @property
+    def steps_taken(self) -> int:
+        return self._outcome[1]
+
+    @property
+    def status(self) -> Status:
+        if not self.percolates:
+            return Status.NOT_PERCOLATING
+        if self.size == self.lower_bound_exact:
+            return Status.PERFECT
+        if self.size == self.lower_bound_ceil:
+            return Status.OPTIMAL
+        return Status.PERCOLATING
+
 
 def classify(dims: GridDims, seeds: CellSet, r: int = 3, max_steps: int | None = None) -> Classification:
-    """Simulate and classify.  Truncation raises (never silently NotPercolating)."""
+    """Size and bound now, the simulation on first need.
+
+    Truncation raises (never silently NotPercolating): a run bounded by
+    ``max_steps`` is simulated here, so it raises from this call.
+    """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
-    final, steps = fixed_point_mask(dims, r, seeds.mask, max_steps)
-    percolates = final == (1 << dims.volume) - 1
-    size = len(seeds)
     exact, ceil = lower_bound(dims)
-    s = surface_sum(dims)
-    if not percolates:
-        status = Status.NOT_PERCOLATING
-    elif 3 * size == s:
-        status = Status.PERFECT
-    elif size == ceil:
-        status = Status.OPTIMAL
-    else:
-        status = Status.PERCOLATING
-    return Classification(
-        dims=dims,
-        percolates=percolates,
-        size=size,
-        lower_bound_exact=exact,
-        lower_bound_ceil=ceil,
-        status=status,
-        seeds=seeds,
-        r=r,
-        max_steps=max_steps,
-        final=CellSet(dims, final),
-        steps_taken=steps,
-    )
+    result = Classification(dims, len(seeds), exact, ceil, seeds, r, max_steps)
+    if max_steps is not None:
+        result.steps_taken  # simulated now, so a truncated run raises here
+    return result
 
 
 @dataclass(frozen=True)

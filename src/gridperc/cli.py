@@ -89,6 +89,8 @@ def cmd_bound(args) -> int:
 def cmd_simulate(args) -> int:
     dims, seeds = _read_seed_file(args.seedfile)
     result = classify(dims, seeds, r=args.r, max_steps=args.max_steps)
+    # a printed trace is read first, so the status below is read off it
+    rendered = render_trace(result.trace) if args.trace and not args.machine else None
     record = {
         "record": "simulate",
         "dims": str(dims),
@@ -100,8 +102,8 @@ def cmd_simulate(args) -> int:
     _emit(args, record,
           f"{dims}: {result.size} seeds, {'percolated' if result.percolates else 'stuck'} "
           f"after {result.steps_taken} steps, status {result.status}")
-    if not args.machine and args.trace:
-        print(render_trace(result.trace), end="")
+    if rendered is not None:
+        print(rendered, end="")
     return EXIT_OK if result.percolates else EXIT_FAILED
 
 

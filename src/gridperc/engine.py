@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .grid import CellSet, GridDims, GridError, mask_indices
 
@@ -206,7 +206,10 @@ class PercolationTrace:
     ``infection_time[i]`` is None for never-infected cells, 0 for seeds.
     ``neighbours_at_infection[i]`` counts neighbours infected strictly before
     the cell turned (0 for seeds): simultaneous adjacent infections do not see
-    each other, which is exactly what the perfectness audit needs.
+    each other, which is exactly what the perfectness audit needs.  The trace
+    keeps those counts as three bit planes, ``count_planes`` (bit k of each
+    cell's count in plane k), and builds the per-cell tuple the first time it
+    is read.
 
     The audit masks: ``excess_mask`` holds the infected non-seeds whose count
     is not 3, and ``adjacent_masks`` holds, per direction (+z, +y, +x, as an
@@ -218,12 +221,20 @@ class PercolationTrace:
     r: int
     seeds: CellSet
     infection_time: tuple[int | None, ...]
-    neighbours_at_infection: tuple[int | None, ...]
     percolated: bool
     steps_taken: int
     final_mask: int = field(repr=False)
+    count_planes: tuple[int, int, int] = field(repr=False)
     excess_mask: int = field(repr=False)
     adjacent_masks: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def neighbours_at_infection(self) -> tuple[int | None, ...]:
+        n = self.dims.volume
+        counts: list[int | None] = _cell_values(list(self.count_planes), n)
+        for i in mask_indices(((1 << n) - 1) ^ self.final_mask):
+            counts[i] = None
+        return tuple(counts)
 
     def time_of(self, cell) -> int | None:
         return self.infection_time[self.dims.index(cell)]
@@ -253,8 +264,9 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     A step costs a fixed number of big-int operations, as in
     ``fixed_point_mask``: the neighbour counts come from bit planes over the
     previous mask, and the new cells are ORed into bit planes of their
-    infection time and of their count.  The per-cell tuples and the audit
-    masks are read off those planes once, at the end.
+    infection time and of their count.  The infection times and the audit
+    masks are read off those planes once, at the end; the per-cell counts
+    only when the trace's ``neighbours_at_infection`` is read.
     """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
@@ -287,9 +299,8 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         mask = nxt
 
     times: list[int | None] = _cell_values(time_planes, n)
-    counts: list[int | None] = _cell_values([c0, c1, c2], n)
     for i in mask_indices(full ^ mask):
-        times[i] = counts[i] = None
+        times[i] = None
 
     turned = mask ^ seeds.mask
     exactly_three = c0 & c1
@@ -310,24 +321,27 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         r=r,
         seeds=seeds,
         infection_time=tuple(times),
-        neighbours_at_infection=tuple(counts),
         percolated=mask == full,
         steps_taken=t,
         final_mask=mask,
+        count_planes=(c0, c1, c2),
         excess_mask=turned ^ exactly_three,
         adjacent_masks=tuple(adjacent),
     )
+
+
+def edge_count_mask(dims: GridDims, mask: int) -> int:
+    """Grid edges with both ends in a raw bitset."""
+    shifts = _axis_shifts(dims)
+    # each internal edge, seen from its upper end
+    return sum((mask >> shift & keep & mask).bit_count() for shift, keep in zip(shifts[::3], shifts[2::3]))
 
 
 def degree_pair_sum(dims: GridDims, cset: CellSet) -> int:
     """n(A) = sum over x in A of |N(x) ∩ A|, i.e. twice the internal edges."""
     if cset.dims != dims:
         raise GridError("cell set belongs to a different grid")
-    m = cset.mask
-    shifts = _axis_shifts(dims)
-    # each internal edge, seen from its upper end; n(A) counts both ends
-    edges = sum((m >> shift & keep & m).bit_count() for shift, keep in zip(shifts[::3], shifts[2::3]))
-    return 2 * edges
+    return 2 * edge_count_mask(dims, cset.mask)
 
 
 def surface_quantity(dims: GridDims, cset: CellSet) -> int:

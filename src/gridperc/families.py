@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bounds import Status, classify, surface_sum
 from .catalog import CatalogEntry
-from .engine import degree_pair_sum, neighbour_masks
+from .engine import edge_count_mask, neighbour_masks
 from .grid import CellSet, GridDims
 from .gridtext import ParseError, read_records, write_record
 from .search import (
@@ -219,7 +219,7 @@ def discover_family(
         nonlocal nodes
         dims = inst_dims[k - 1]
         mask = assemble_mask(m_mask, b_mask, seam, k)
-        if degree_pair_sum(dims, CellSet(dims, mask)) > 0:
+        if edge_count_mask(dims, mask):
             # dependent assembly can never be perfect; heavy penalty
             return scale * dims.volume, dims.volume, 0
         final, uninf, prog = fixed_point_scored(dims, 3, mask)

@@ -6,6 +6,7 @@ import pytest
 
 from dataclasses import replace
 
+import gridperc.bounds
 from gridperc.cli import main
 from gridperc.families import builtin_patterns, save_patterns
 from gridperc.gridtext import parse_set, write_set
@@ -217,3 +218,19 @@ def test_read_flags_still_parse(tmp_path, capsys, argv):
     paths = {"d": diamond, "x": tmp_path / "x.txt"}
     assert main([arg.format(**paths) for arg in argv]) == 0
     assert paths["x"].exists() == ("{x}" in argv)
+
+
+@pytest.mark.parametrize("text", [DIAMOND_TEXT, "X..\n...\n...\n", "X.X\n...\nX..\n\n.X.\nX..\n..X\n"])
+@pytest.mark.parametrize("argv", [["simulate", "FILE", "--trace"], ["render", "FILE"], ["--machine", "render", "FILE"]])
+def test_traced_commands_simulate_once(tmp_path, capsys, monkeypatch, text, argv):
+    # the status is read off the printed trace: the untraced kernel never runs
+    path = tmp_path / "seeds.txt"
+    path.write_text(text)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    want = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fixed_point_mask called")
+
+    monkeypatch.setattr(gridperc.bounds, "fixed_point_mask", refuse)
+    assert run_cli(capsys, *argv) == want

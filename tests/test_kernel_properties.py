@@ -6,16 +6,30 @@ partial set whose union with all later cells does not percolate.  These
 tests hold both to ``tests/oracle.py``.
 """
 
+import random
 from itertools import product
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridperc.engine import _axis_shifts, _count_planes, count_planes, fixed_point_mask, neighbour_masks
+from gridperc.engine import (
+    _axis_shifts,
+    _count_planes,
+    count_planes,
+    edge_count_mask,
+    fixed_point_mask,
+    neighbour_masks,
+)
 from gridperc.grid import CellSet, GridDims
 from gridperc.search import fixed_point_scored, min_exhaustive
 
-from oracle import fixed_point_brute, min_percolating_brute, neighbour_masks_brute, neighbours_brute
+from oracle import (
+    fixed_point_brute,
+    min_percolating_brute,
+    neighbour_masks_brute,
+    neighbours_brute,
+    pair_sum_brute,
+)
 from test_trace_properties import PROPERTY, seeded_grids
 
 
@@ -84,3 +98,13 @@ def test_neighbour_masks_match_the_per_cell_masks():
     for sides in product(range(1, 6), repeat=3):
         dims = GridDims(*sides)
         assert neighbour_masks(dims) == neighbour_masks_brute(dims), dims
+
+
+def test_edge_count_mask_matches_the_per_cell_pair_sum():
+    rng = random.Random(5)
+    for sides in product(range(1, 6), repeat=3):
+        dims = GridDims(*sides)
+        full = (1 << dims.volume) - 1
+        for mask in (0, full, *(rng.getrandbits(dims.volume) for _ in range(4))):
+            cells = set(CellSet(dims, mask).cells())
+            assert 2 * edge_count_mask(dims, mask) == pair_sum_brute(dims, cells), (dims, mask)
