@@ -15,9 +15,14 @@ gave the same results.  The document holds:
 - the unbudgeted 2x5 discovery at rng seed 1 (acceptance criterion 5);
 - per ``verify`` input at seeds 1 and 2: status, ``percolates``,
   ``steps_taken``, the audit, ``render_trace``, milestones, ``infection_time``
-  and ``neighbours_at_infection``.
+  and ``neighbours_at_infection``;
+- every built-in family pattern's ``seed_set(c)`` for k = 0..20 block
+  copies, and the pattern ``_pattern_from_masks`` cuts back out of its
+  minimal instance;
+- every built-in catalog entry under each of the 48 box isometries;
+- ``thickness1_entry(k)`` for k = 1..9.
 
-Masks are written in hex.  Takes about 16 s on a 2-vCPU VM.
+Masks are written in hex.  Takes about 20 s on a 2-vCPU VM.
 
 Usage: python scripts/fingerprint.py [--src PATH] [--out PATH]
 """
@@ -28,11 +33,14 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import permutations, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 PLAN_MAX_SIDE = 30
+FAMILY_MAX_COPIES = 20
+THICKNESS1_MAX_K = 9
 
 
 def _mask(cset) -> str | None:
@@ -107,6 +115,28 @@ def verifies(gp, workload, seed: int) -> list:
     return out
 
 
+def families(gp) -> dict:
+    """Each pattern's instances and the pattern cut back out of its minimal one."""
+    out = {}
+    for fid, p in sorted(gp.builtin_patterns().items()):
+        instances = [_mask(p.seed_set(p.min_c + 6 * k)) for k in range(FAMILY_MAX_COPIES + 1)]
+        cut = gp.families._pattern_from_masks(
+            fid, p.a, p.b, p.residue, p.min_c, p.left.dims.c,
+            p.seed_set(p.min_c).mask, p.block.mask, p.rng_seed,
+        )
+        out[fid] = [instances, [_mask(part) for part in (cut.left, cut.block, cut.right)]]
+    return out
+
+
+def orientations(gp) -> dict:
+    """Every catalog entry under every (perm, flips) isometry of its box."""
+    isometries = list(product(permutations(range(3)), product((False, True), repeat=3)))
+    return {
+        key: [_mask(gp.grid.orient_set(entry.seeds, o)) for o in isometries]
+        for key, entry in sorted(gp.builtin_catalog().entries.items())
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the gridperc package")
@@ -128,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
         "discover_live": repr(gp.discover_family(2, 5, 5, 5, rng_seed=1, family_id="2x5",
                                                  params=gp.families.DiscoveryParams())),
         "verify": {seed: verifies(gp, w["verify"], seed) for seed in SEEDS},
+        "families": families(gp),
+        "orientations": orientations(gp),
+        "thickness1": [_mask(gp.thickness1_entry(k).seeds) for k in range(1, THICKNESS1_MAX_K + 1)],
     }
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     Path(args.out).write_bytes(data)

@@ -53,14 +53,16 @@ def lower_bound(dims: GridDims) -> tuple[Fraction, int]:
     return Fraction(s, 3), -(-s // 3)
 
 
+def has_integral_bound(a: int, b: int, c: int) -> bool:
+    """Whether 3 | ab+ac+bc, on plain side lengths."""
+    return (a * b + a * c + b * c) % 3 == 0
+
+
 def perfect_precondition(dims: GridDims) -> bool:
-    """Whether 3 | ab+ac+bc, via the congruence characterization:
-    two of a, b, c divisible by three, or all three in the same class mod 3.
+    """Whether 3 | ab+ac+bc, which holds exactly when two of a, b, c are
+    divisible by three or all three lie in the same class mod 3.
     """
-    residues = sorted(side % 3 for side in dims.as_tuple())
-    if residues.count(0) >= 2:
-        return True
-    return residues[0] == residues[1] == residues[2]
+    return has_integral_bound(*dims.as_tuple())
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,8 @@ def cmd_search(args) -> int:
     if result.witness is not None:
         _write_witness(args, result.witness)
         if args.catalog_out:
-            check = classify(dims, result.witness, r=args.r)
-            status = check.status if check.status >= Status.OPTIMAL else Status.PERCOLATING
+            # the catalog holds 3-neighbour witnesses, whatever r the search ran at
+            status = classify(dims, result.witness).status
             if status >= Status.OPTIMAL:
                 provenance = ("searched-exhaustive"
                               if result.mode is SearchMode.EXHAUSTIVE_PROVEN
@@ -227,7 +227,7 @@ def cmd_search(args) -> int:
                 cat = (Catalog.load(args.catalog_out)
                        if Path(args.catalog_out).exists() else Catalog())
                 cat.add(CatalogEntry(dims, result.witness, status, provenance,
-                                     rng_seed=result.rng_seed).verify(),
+                                     rng_seed=result.rng_seed, verified=True),
                         replace=True)
                 cat.save(args.catalog_out)
             else:
@@ -254,11 +254,12 @@ def cmd_family(args) -> int:
     if args.id is None or (args.action == "assemble" and args.c is None):
         print("error: family action needs an id (and c for assemble)", file=sys.stderr)
         return EXIT_USAGE
+    p = patterns.get(args.id)
+    if p is None:
+        print(f"error: unknown family {args.id}", file=sys.stderr)
+        return EXIT_USAGE
     if args.action == "assemble":
-        if args.id not in patterns:
-            print(f"error: no pattern for family {args.id}", file=sys.stderr)
-            return EXIT_FAILED
-        entry = assemble_family(patterns[args.id], args.c)
+        entry = assemble_family(p, args.c)
         record = {
             "record": "family",
             "id": args.id,
@@ -272,10 +273,6 @@ def cmd_family(args) -> int:
         return EXIT_OK
 
     # discover
-    if args.id not in patterns:
-        print(f"error: unknown family {args.id}", file=sys.stderr)
-        return EXIT_USAGE
-    p = patterns[args.id]
     try:
         pattern = discover_family(
             p.a, p.b, p.residue, p.min_c, rng_seed=args.rng_seed, family_id=args.id,

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .grid import CellSet, GridDims, GridError, mask_indices
+from .grid import CellSet, GridDims, GridError, mask_indices, mask_text, text_mask
 
 
 class SimulationTruncated(RuntimeError):
@@ -37,18 +37,10 @@ def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
 
 @lru_cache(maxsize=512)
 def _side_shifts(a: int, b: int, c: int) -> tuple[int, ...]:
-    n = a * b * c
-    full = (1 << n) - 1
-
-    col_first = 0  # z == 1
-    for k in range(a * b):
-        col_first |= 1 << (k * c)
+    full = (1 << a * b * c) - 1
+    col_first = text_mask(("1" + "0" * (c - 1)) * (a * b))  # z == 1
     col_last = col_first << (c - 1)
-
-    row_block = (1 << c) - 1  # y == 1, one layer
-    row_first = 0
-    for k in range(a):
-        row_first |= row_block << (k * b * c)
+    row_first = text_mask(("1" * c + "0" * ((b - 1) * c)) * a)  # y == 1
     row_last = row_first << ((b - 1) * c)
 
     z = (1, full & ~col_first, full & ~col_last) if c > 1 else (0, 0, 0)
@@ -191,7 +183,7 @@ def _cell_values(planes: list[int], n: int) -> list[int]:
     encoding, code = _LANE_FORMATS[width]
     total = 0
     for k, plane in enumerate(planes):
-        digits = format(plane, f"0{n}b")[::-1].encode(encoding).translate(_ASCII_BIT)
+        digits = mask_text(plane, n).encode(encoding).translate(_ASCII_BIT)
         total |= int.from_bytes(digits, "little") << k
     values = array(code, total.to_bytes(n * width, "little"))
     if sys.byteorder == "big":

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .bounds import Status, classify, surface_sum
+from .bounds import Status, classify, perfect_precondition, surface_sum
 from .catalog import CatalogEntry
 from .engine import edge_count_mask, neighbour_masks
-from .grid import CellSet, GridDims
+from .grid import CellSet, GridDims, mask_text, text_mask, text_rows
 from .gridtext import ParseError, read_records, write_record
 from .search import (
     AnnealParams,
@@ -81,48 +81,27 @@ class FamilyPattern:
                 f"c={c} not admissible for family {self.family_id} "
                 f"(needs c ≡ {self.residue} (mod 6), c >= {self.min_c})"
             )
-        left, right = self.left, self.right
-        mask = _splice(self.a * self.b, left.mask, left.dims.c, self.block.mask,
-                       (c - self.min_c) // 6, right.mask, right.dims.c)
-        return CellSet(GridDims(self.a, self.b, c), mask)
+        k = (c - self.min_c) // 6
+        rows = zip(*(text_rows(mask_text(p.mask, p.dims.volume), p.dims.c)
+                     for p in (self.left, self.block, self.right)))
+        text = "".join([left + block * k + right for left, block, right in rows])
+        return CellSet(GridDims(self.a, self.b, c), text_mask(text))
 
 
-def _cut(mask: int, rows: int, width: int, seam: int) -> tuple[int, int]:
-    """Each ``width``-bit row of ``mask`` split at column ``seam``: the left
-    parts packed ``seam`` bits a row, and the right parts packed
-    ``width - seam`` bits a row."""
-    left = right = 0
-    wr = width - seam
-    for row in range(rows):
-        bits = mask >> (row * width) & ((1 << width) - 1)
-        left |= (bits & ((1 << seam) - 1)) << (row * seam)
-        right |= bits >> seam << (row * wr)
-    return left, right
-
-
-def _splice(rows: int, left: int, wl: int, block: int, k: int, right: int, wr: int) -> int:
-    """Per row, the row of ``left`` (``wl`` bits), k copies of the row of
-    ``block`` (6 bits), then the row of ``right`` (``wr`` bits).  Any part
-    may be 0, so parts can be spliced apart and OR-ed together."""
-    c = wl + 6 * k + wr
-    repeat = ((1 << 6 * k) - 1) // 63 << wl  # bit wl+6j set for j < k: k copies of a 6-bit row
-    left_row, right_row, right_at = (1 << wl) - 1, (1 << wr) - 1, wl + 6 * k
-    mask = 0
-    for at in range(0, rows * c, c):
-        mask |= (left & left_row | (block & 63) * repeat | (right & right_row) << right_at) << at
-        left >>= wl
-        block >>= 6
-        right >>= wr
-    return mask
+def _cut(mask: int, dims: GridDims, seam: int) -> list[tuple[str, str, int]]:
+    """Per row of a set on ``dims``: its columns before ``seam``, its columns
+    from ``seam`` on, and where the row's block row starts in a block's text."""
+    rows = text_rows(mask_text(mask, dims.volume), dims.c)
+    return [(row[:seam], row[seam:], 6 * i) for i, row in enumerate(rows)]
 
 
 def assemble_family(pattern: FamilyPattern, c: int) -> CatalogEntry:
     """Assembled, size-checked, simulation-verified perfect witness."""
     seeds = pattern.seed_set(c)
     dims = seeds.dims
-    expected = surface_sum(dims) // 3
-    if 3 * expected != surface_sum(dims):
+    if not perfect_precondition(dims):
         raise FamilyError(f"bound for {dims} is not an integer; bad family residue")
+    expected = surface_sum(dims) // 3
     if len(seeds) != expected:
         raise FamilyError(
             f"assembled size {len(seeds)} differs from the bound {expected} on {dims}"
@@ -190,35 +169,25 @@ def discover_family(
     mdims = GridDims(a, b, min_c)  # minimal instance
     bdims = GridDims(a, b, 6)
     b_n = bdims.volume
-    m_target = surface_sum(mdims) // 3
-    if 3 * m_target != surface_sum(mdims):
+    if not perfect_precondition(mdims):
         raise SearchError(f"minimal instance {mdims} has non-integral bound")
+    m_target = surface_sum(mdims) // 3
     b_target = 2 * (a + b)
-    rows = a * b
 
     inst_dims = [GridDims(a, b, min_c + 6 * k) for k in (1, 2)]
     scale = 2 * inst_dims[-1].volume + 1
     nodes = 0
     bnm = neighbour_masks(bdims)
-    witness_parts: dict[tuple[int, int, int], int] = {}
 
-    def assemble_mask(m_mask: int, b_mask: int, seam: int, k: int) -> int:
-        """The witness cut at the seam column with k block copies spliced in.
-
-        The witness's part is cached, since the witness stays pinned.
-        """
-        wr = min_c - seam
-        part = witness_parts.get((m_mask, seam, k))
-        if part is None:
-            left, right = _cut(m_mask, rows, min_c, seam)
-            part = witness_parts[(m_mask, seam, k)] = _splice(rows, left, seam, 0, k, right, wr)
-        return part | _splice(rows, 0, seam, b_mask, k, 0, wr)
-
-    def evaluate(m_mask: int, b_mask: int, seam: int, k: int) -> tuple[int, int, int]:
-        """(objective, uninfected count, hole mask) of the k-copy instance."""
+    def evaluate(cuts: list[tuple[str, str, int]], b_mask: int, k: int) -> tuple[int, int, int]:
+        """(objective, uninfected count, hole mask) of the instance with k
+        block copies between the witness's cut rows."""
         nonlocal nodes
         dims = inst_dims[k - 1]
-        mask = assemble_mask(m_mask, b_mask, seam, k)
+        block = mask_text(b_mask, b_n)
+        # this runs on every move; an f-string builds a row in one step, which
+        # beat `left + ... + right` measurably here
+        mask = text_mask("".join([f"{left}{block[at:at + 6] * k}{right}" for left, right, at in cuts]))
         if edge_count_mask(dims, mask):
             # dependent assembly can never be perfect; heavy penalty
             return scale * dims.volume, dims.volume, 0
@@ -265,7 +234,8 @@ def discover_family(
             b_mask = random_block()
             if b_mask is None:
                 continue
-            obj, uninf, hole = evaluate(m_mask, b_mask, seam, 1)
+            cuts = _cut(m_mask, mdims, seam)
+            obj, uninf, hole = evaluate(cuts, b_mask, 1)
             schedule = Schedule(T_START, T_END, params.iterations, scale)
             for _ in range(params.iterations):
                 if node_budget is not None and nodes >= node_budget:
@@ -282,12 +252,12 @@ def discover_family(
                 if new == old or (b_mask >> new) & 1:
                     continue
                 trial = (b_mask & ~(1 << old)) | (1 << new)
-                t_obj, t_uninf, t_hole = evaluate(m_mask, trial, seam, 1)
+                t_obj, t_uninf, t_hole = evaluate(cuts, trial, 1)
                 if schedule.step(rng, obj, t_obj):
                     b_mask = trial
                     obj, uninf, hole = t_obj, t_uninf, t_hole
                     if uninf == 0:
-                        if evaluate(m_mask, b_mask, seam, 2)[1] != 0:
+                        if evaluate(cuts, b_mask, 2)[1] != 0:
                             # no progress, and no stagnation check until the next move
                             schedule.since += 1
                             continue
@@ -306,12 +276,12 @@ def _pattern_from_masks(
     fid: str, a: int, b: int, residue: int, min_c: int,
     seam: int, m_mask: int, b_mask: int, rng_seed: int,
 ) -> FamilyPattern:
-    left, right = _cut(m_mask, a * b, min_c, seam)
+    left, right, _ = zip(*_cut(m_mask, GridDims(a, b, min_c), seam))
     return FamilyPattern(
         family_id=fid, a=a, b=b, residue=residue, min_c=min_c,
-        left=CellSet(GridDims(a, b, seam), left),
+        left=CellSet(GridDims(a, b, seam), text_mask("".join(left))),
         block=CellSet(GridDims(a, b, 6), b_mask),
-        right=CellSet(GridDims(a, b, min_c - seam), right),
+        right=CellSet(GridDims(a, b, min_c - seam), text_mask("".join(right))),
         rng_seed=rng_seed,
     )
 

@@ -48,6 +48,25 @@ def mask_indices(mask: int) -> list[int]:
     return out
 
 
+def mask_text(mask: int, n: int) -> str:
+    """An n-cell set as one '0'/'1' character per cell, cell 0 first.
+
+    This text is the cell layout's one owner: a grid's cells run in rows of
+    ``c``, rows in layers of ``b``, so a row is a slice of ``c`` characters.
+    """
+    return format(mask, f"0{n}b")[::-1]
+
+
+def text_mask(text: str) -> int:
+    """The bitset of a '0'/'1' text, cell 0 first: the inverse of ``mask_text``."""
+    return int(text[::-1], 2)
+
+
+def text_rows(text: str, width: int) -> list[str]:
+    """The text cut into rows of ``width`` characters."""
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
 def _mask_of(volume: int, indices: Iterable[int]) -> int:
     """Bitset of in-range indices, set in a byte buffer (linear in volume)."""
     buf = bytearray((volume + 7) >> 3)
@@ -251,10 +270,8 @@ def orient_set(cset: CellSet, orientation: Orientation) -> CellSet:
     perm, _ = orientation
     src_t = cset.dims.as_tuple()
     dst = GridDims(src_t[perm[0]], src_t[perm[1]], src_t[perm[2]])
-    # one '0'/'1' character per cell, cell 0 first, as in embed
-    src = format(cset.mask, f"0{cset.dims.volume}b")[::-1]
-    image = "".join(src[s] for s in _source_rows(cset.dims, orientation))
-    return CellSet(dst, int(image[::-1], 2))
+    src = mask_text(cset.mask, cset.dims.volume)
+    return CellSet(dst, text_mask("".join(src[s] for s in _source_rows(cset.dims, orientation))))
 
 
 def orient_indices(dims: GridDims, orientation: Orientation) -> list[int]:
@@ -288,14 +305,12 @@ def embed(cset: CellSet, target: GridDims, offset: tuple[int, int, int]) -> Cell
     sub = cset.dims
     if dx < 0 or dy < 0 or dz < 0 or sub.a + dx > target.a or sub.b + dy > target.b or sub.c + dz > target.c:
         raise GridError(f"{sub} at offset {offset} does not fit in {target}")
-    # one '0'/'1' character per cell, cell 0 first; rows of c cells are copied
-    # into the target's rows, so the work is per row and never per cell
-    src = format(cset.mask, f"0{sub.volume}b")[::-1]
-    empty = "0" * target.c
-    pad = "0" * dz, "0" * (target.c - sub.c - dz)
-    rows = [empty] * (target.a * target.b)
-    for x in range(sub.a):
-        for y in range(sub.b):
-            start = (x * sub.b + y) * sub.c
-            rows[(x + dx) * target.b + y + dy] = pad[0] + src[start:start + sub.c] + pad[1]
-    return CellSet(target, int("".join(rows)[::-1], 2))
+    # rows of c cells are copied into the target's rows, so the work is per
+    # row and never per cell
+    src = iter(text_rows(mask_text(cset.mask, sub.volume), sub.c))
+    left, right = "0" * dz, "0" * (target.c - sub.c - dz)
+    rows = ["0" * target.c] * (target.a * target.b)
+    for x in range(dx, dx + sub.a):
+        for y in range(dy, dy + sub.b):
+            rows[x * target.b + y] = left + next(src) + right
+    return CellSet(target, text_mask("".join(rows)))

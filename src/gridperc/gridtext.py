@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .engine import PercolationTrace
-from .grid import CellSet, GridDims
+from .grid import CellSet, GridDims, mask_text, text_mask, text_rows
 
 SEED_GLYPH = "X"
 EMPTY_GLYPH = "."
@@ -48,13 +48,8 @@ class ParseError(ValueError):
 
 def _layered(cells: str, dims: GridDims) -> str:
     """One glyph per cell, in index order, cut into rows and layers."""
-    c = dims.c
-    layer = dims.b * c
-    blocks = (
-        "\n".join(cells[row:row + c] for row in range(first, first + layer, c))
-        for first in range(0, dims.volume, layer)
-    )
-    return "\n\n".join(blocks) + "\n"
+    layers = text_rows(cells, dims.b * dims.c)
+    return "\n\n".join("\n".join(text_rows(layer, dims.c)) for layer in layers) + "\n"
 
 
 _SEED_GLYPHS = str.maketrans("01", EMPTY_GLYPH + SEED_GLYPH)
@@ -65,8 +60,7 @@ _NOT_GLYPHS = str.maketrans("", "", EMPTY_GLYPH + SEED_GLYPH)
 def write_set(cset: CellSet) -> str:
     """Seed set as layered text (no header; dims are implicit in the shape)."""
     dims = cset.dims
-    cells = format(cset.mask, f"0{dims.volume}b")[::-1].translate(_SEED_GLYPHS)
-    return _layered(cells, dims)
+    return _layered(mask_text(cset.mask, dims.volume).translate(_SEED_GLYPHS), dims)
 
 
 def parse_set(text: str) -> tuple[GridDims, CellSet]:
@@ -107,8 +101,7 @@ def parse_set(text: str) -> tuple[GridDims, CellSet]:
             if bad:
                 raise ParseError(f"unknown glyph {bad[0]!r}", lineno)
     cells = "".join(line for block in blocks for _, line in block)
-    mask = int(cells[::-1].translate(_SEED_BITS), 2)
-    return dims, CellSet(dims, mask)
+    return dims, CellSet(dims, text_mask(cells.translate(_SEED_BITS)))
 
 
 def read_records(

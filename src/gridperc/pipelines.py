@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .bounds import Status
+from .bounds import Status, has_integral_bound
 from .catalog import Catalog, CatalogEntry, builtin_catalog
 from .combine import combine, octant_parts, thickness1_entry
 from .families import FamilyPattern, assemble_family, builtin_patterns
@@ -123,7 +123,7 @@ class Builder:
     def _build(self, dims: GridDims, status: Status) -> CatalogEntry:
         plan = self.plan(dims, status)
         if plan is None:
-            integral = _integral(*dims.as_tuple())
+            integral = has_integral_bound(*dims.as_tuple())
             detail = "bound is not an integer" if status is Status.PERFECT and not integral else ""
             raise DependencyError(dims, status, detail)
         return self._execute(plan).reoriented(dims)
@@ -166,7 +166,7 @@ class Builder:
 
     def _search(self, t: tuple[int, int, int], status: Status) -> Plan | None:
         a, b, c = t
-        integral = _integral(a, b, c)
+        integral = has_integral_bound(a, b, c)
         if status is Status.OPTIMAL and integral:
             return self._plan(t, Status.PERFECT)
         if status is Status.PERFECT:
@@ -195,15 +195,10 @@ class Builder:
         return None
 
 
-def _integral(x: int, y: int, z: int) -> bool:
-    """Whether an x*y*z grid has an integral bound (xy + xz + yz) / 3."""
-    return (x * y + x * z + y * z) % 3 == 0
-
-
 def _integral_parts(split: Split) -> bool:
     """Whether the three parts off the origin have integral bounds; the
     origin part's surface is then ≡ the whole's (mod 3)."""
-    return all(_integral(*part) for part in octant_parts(split)[1:])
+    return all(has_integral_bound(*part) for part in octant_parts(split)[1:])
 
 
 def _paper_splits(t: tuple[int, int, int], status: Status) -> list[Split]:
@@ -259,7 +254,8 @@ def _generic_splits(t: tuple[int, int, int], status: Status):
             b2 = b - b1
             keep = 0
             for r in range(3):
-                if _integral(a2, b2, r) and _integral(a2, b1, c - r) and _integral(a1, b2, c - r):
+                if (has_integral_bound(a2, b2, r) and has_integral_bound(a2, b1, c - r)
+                        and has_integral_bound(a1, b2, c - r)):
                     keep |= 1 << r
             for c1 in c_classes[keep]:
                 yield (a1, a2), (b1, b2), (c1, c - c1)

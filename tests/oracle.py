@@ -148,6 +148,32 @@ def neighbour_masks_brute(dims: GridDims) -> list[int]:
     return out
 
 
+def axis_keep_masks_brute(dims: GridDims) -> tuple[int, ...]:
+    """The engine's per-axis shift masks, cell by cell from coordinates.
+
+    Per axis z, y, x: the index step along the axis, the cells with a
+    neighbour one step down it, and the cells with one a step up.  A shift
+    along the outermost axis x runs off the ends of the grid rather than
+    into another row, so both of its masks hold every cell.  An axis of
+    length 1 is (0, 0, 0).
+    """
+    sides = dims.as_tuple()
+    out: tuple[int, ...] = ()
+    for axis, step in ((2, 1), (1, dims.c), (0, dims.b * dims.c)):
+        if sides[axis] == 1:
+            out += (0, 0, 0)
+            continue
+        down = up = 0
+        for i in range(dims.volume):
+            coord = dims.cell(i)[axis]
+            if axis == 0 or coord > 1:
+                down |= 1 << i
+            if axis == 0 or coord < sides[axis]:
+                up |= 1 << i
+        out += (step, down, up)
+    return out
+
+
 def generic_splits_brute(t: tuple[int, int, int], status: Status) -> list:
     """The planner's generic splits by generating every split and filtering.
 

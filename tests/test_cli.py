@@ -126,6 +126,7 @@ def test_family_assemble(tmp_path, capsys):
 def test_family_usage_error(capsys):
     assert main(["family", "assemble"]) == 2
     assert main(["family", "discover", "9x9"]) == 2
+    assert main(["family", "assemble", "9x9", "11"]) == 2
 
 
 def test_combine_cli(tmp_path, capsys):
@@ -160,6 +161,16 @@ def test_search_emits_catalog_records(tmp_path, capsys):
     cat = Catalog.load(cat_path)
     assert set(cat.entries) == {"3x3x3:perfect", "2x2x3:optimal"}
     cat.verify_all()
+
+
+def test_search_catalogues_only_three_neighbour_witnesses(tmp_path, capsys):
+    # 9 seeds percolate 3x3x3 at r = 2 but not at r = 3, which the catalog holds
+    cat_path = tmp_path / "cat.txt"
+    code = main(["search", "atbound", "3", "3", "3", "--r", "2", "--target", "9",
+                 "--catalog-out", str(cat_path), "-o", str(tmp_path / "w.txt")])
+    assert code == 0
+    assert "not recorded in the catalog" in capsys.readouterr().err
+    assert not cat_path.exists()
 
 
 def test_machine_output_deterministic(capsys):

@@ -24,6 +24,7 @@ from gridperc.grid import CellSet, GridDims
 from gridperc.search import fixed_point_scored, min_exhaustive
 
 from oracle import (
+    axis_keep_masks_brute,
     fixed_point_brute,
     min_percolating_brute,
     neighbour_masks_brute,
@@ -92,6 +93,12 @@ def test_min_exhaustive_equals_brute_minimum_on_volume_up_to_12():
                     final, _ = fixed_point_brute(dims, r, set(result.witness.cells()))
                     assert len(final) == dims.volume
                     assert len(result.witness) == result.min_size
+
+
+def test_axis_shifts_match_the_per_cell_masks():
+    for sides in product(range(1, 7), repeat=3):
+        dims = GridDims(*sides)
+        assert _axis_shifts(dims) == axis_keep_masks_brute(dims), dims
 
 
 def test_neighbour_masks_match_the_per_cell_masks():

@@ -1,10 +1,11 @@
-"""Seed text round trips, and the surface quantity along a traced run."""
+"""Seed text round trips, the '0'/'1' cell text behind them, and the surface
+quantity along a traced run."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridperc.engine import percolate, surface_quantity
-from gridperc.grid import CellSet, GridDims
+from gridperc.grid import CellSet, GridDims, mask_indices, mask_text, text_mask, text_rows
 from gridperc.gridtext import parse_set, render_trace, strip_times, write_set
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -20,6 +21,23 @@ def random_sets(draw, max_side=5):
 @given(random_sets())
 def test_parse_inverts_write(cset):
     assert parse_set(write_set(cset)) == (cset.dims, cset)
+
+
+@PROPERTY
+@given(random_sets())
+def test_mask_text_is_one_character_per_cell(cset):
+    text = mask_text(cset.mask, cset.dims.volume)
+    assert len(text) == cset.dims.volume
+    assert text_mask(text) == cset.mask
+    assert [i for i, ch in enumerate(text) if ch == "1"] == mask_indices(cset.mask)
+
+
+@PROPERTY
+@given(st.text("01"), st.integers(1, 12))
+def test_text_rows_join_back(text, width):
+    rows = text_rows(text, width)
+    assert "".join(rows) == text
+    assert all(len(row) == width for row in rows[:-1])
 
 
 @PROPERTY
