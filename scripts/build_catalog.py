@@ -48,8 +48,6 @@ OPTIMAL_LEAVES = [
 EASY = AnnealParams(restarts=40, iterations=40_000, stagnation=8_000)
 HARD = AnnealParams(restarts=200, iterations=400_000, stagnation=40_000)
 
-ZMIRROR = ((0, 1, 2), (False, False, True))
-
 
 def freeze(catalog: Catalog, dims_t: tuple, status: Status, hard: bool) -> bool:
     dims = GridDims(*dims_t)
@@ -60,9 +58,8 @@ def freeze(catalog: Catalog, dims_t: tuple, status: Status, hard: bool) -> bool:
     target = int(exact) if status is Status.PERFECT else ceil
     params = HARD if hard else EASY
     t0 = time.perf_counter()
-    for attempt, seed in enumerate(SEED_LADDER):
-        symmetry = None if attempt % 2 == 0 else ZMIRROR
-        res = find_at_bound(dims, target, rng_seed=seed, params=params, symmetry=symmetry)
+    for seed in SEED_LADDER:
+        res = find_at_bound(dims, target, rng_seed=seed, params=params)
         if res.mode is SearchMode.HEURISTIC_WITNESS:
             entry = CatalogEntry(
                 dims=dims,
@@ -74,11 +71,10 @@ def freeze(catalog: Catalog, dims_t: tuple, status: Status, hard: bool) -> bool:
             catalog.add(entry)
             catalog.save(CATALOG_PATH)
             dt = time.perf_counter() - t0
-            print(f"  {dims} {status}: size {entry.size}, seed {seed}"
-                  f"{' sym' if symmetry else ''}, {res.nodes_explored} sims, {dt:.1f}s")
+            print(f"  {dims} {status}: size {entry.size}, seed {seed}, "
+                  f"{res.nodes_explored} sims, {dt:.1f}s")
             return True
-        print(f"  {dims} {status}: seed {seed}{' sym' if symmetry else ''} failed "
-              f"({res.nodes_explored} sims)")
+        print(f"  {dims} {status}: seed {seed} failed ({res.nodes_explored} sims)")
     print(f"  {dims} {status}: NOT FOUND")
     return False
 

@@ -21,7 +21,6 @@ from .engine import (
     surface_quantity,
 )
 from .families import (
-    FAMILY_SPECS,
     FamilyError,
     FamilyPattern,
     assemble_family,
@@ -53,7 +52,6 @@ __all__ = [
     "Classification",
     "CombineError",
     "DependencyError",
-    "FAMILY_SPECS",
     "FamilyError",
     "FamilyPattern",
     "GridDims",

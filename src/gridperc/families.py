@@ -347,9 +347,3 @@ def load_patterns(path: str | Path) -> dict[str, FamilyPattern]:
 
 def save_patterns(patterns: dict[str, FamilyPattern], path: str | Path) -> None:
     Path(path).write_text(write_patterns(list(patterns.values())), encoding="utf-8")
-
-
-# The families with frozen patterns, by id: (a, b, residue mod 6, minimum c).
-FAMILY_SPECS: dict[str, tuple[int, int, int, int]] = {
-    fid: (p.a, p.b, p.residue, p.min_c) for fid, p in builtin_patterns().items()
-}

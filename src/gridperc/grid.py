@@ -200,20 +200,11 @@ class CellSet:
             raise GridError("cannot combine sets over different grids")
         return CellSet(self.dims, self.mask | other.mask)
 
-    def __and__(self, other: "CellSet") -> "CellSet":
-        if other.dims != self.dims:
-            raise GridError("cannot combine sets over different grids")
-        return CellSet(self.dims, self.mask & other.mask)
-
     def issubset(self, other: "CellSet") -> bool:
         return self.dims == other.dims and self.mask & ~other.mask == 0
 
-    def indices(self) -> Iterator[int]:
-        """Set bits in increasing index order."""
-        return iter(mask_indices(self.mask))
-
     def cells(self) -> list[Cell]:
-        return [self.dims.cell(i) for i in self.indices()]
+        return [self.dims.cell(i) for i in mask_indices(self.mask)]
 
 
 # --- box symmetries -----------------------------------------------------------

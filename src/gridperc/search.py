@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 from .bounds import lower_bound, surface_sum
 from .engine import at_least, count_planes, fixed_point_mask, neighbour_masks
-from .grid import (
-    CellSet,
-    GridDims,
-    Orientation,
-    automorphisms,
-    orbit_minima,
-    orient_indices,
-)
+from .grid import CellSet, GridDims, automorphisms, orbit_minima, orient_indices
 
 EXHAUSTIVE_CELL_CAP = 30
 
@@ -244,18 +237,6 @@ class AnnealParams:
     stagnation: int = 4_000
 
 
-def _orbits_under(dims: GridDims, symmetry: Orientation | None) -> list[tuple[int, ...]]:
-    """Cell orbits under one involutive symmetry (singletons when None)."""
-    if symmetry is None:
-        return [(i,) for i in range(dims.volume)]
-    if symmetry not in automorphisms(dims):
-        raise SearchError(f"symmetry {symmetry} is not an automorphism of {dims}")
-    image = orient_indices(dims, symmetry)
-    if any(image[j] != i for i, j in enumerate(image)):
-        raise SearchError(f"symmetry {symmetry} is not an involution")
-    return [(i,) if j == i else (i, j) for i, j in enumerate(image) if j >= i]
-
-
 def find_at_bound(
     dims: GridDims,
     target: int,
@@ -263,7 +244,6 @@ def find_at_bound(
     rng_seed: int = 0,
     params: AnnealParams | None = None,
     node_budget: int | None = None,
-    symmetry: Orientation | None = None,
 ) -> SearchResult:
     """Stochastic local search for a percolating set of exactly ``target`` cells.
 
@@ -271,11 +251,6 @@ def find_at_bound(
     region; candidates violating the internal-edge allowance are never
     generated.  Acceptance follows a geometric cooling schedule with restarts.
     Deterministic for a fixed rng_seed.
-
-    With ``symmetry`` (an involutive grid automorphism), only seed sets fixed
-    by it are explored and moves relocate whole cell orbits: half the search
-    dimensions, at the cost of missing asymmetric witnesses.  Any other
-    orientation raises SearchError: its cell pairs would not be orbits.
     """
     n = dims.volume
     _, ceil = lower_bound(dims)
@@ -288,31 +263,12 @@ def find_at_bound(
 
     rng = random.Random(rng_seed)
     nmasks = neighbour_masks(dims)
-    orbits = _orbits_under(dims, symmetry)
-    orbit_mask = [sum(1 << i for i in orb) for orb in orbits]
-    orbit_of = [0] * n
-    for oi, orb in enumerate(orbits):
-        for i in orb:
-            orbit_of[i] = oi
     nodes = 0
     scale = 2 * n + 1  # objective = uninfected*scale - progress, all integer
 
-    def added_edges(om: int, mask: int) -> int:
-        # edges created by adding orbit bits `om` to `mask` (internal pairs too)
-        total = 0
-        m = om
-        seen = 0
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            total += (nmasks[i] & (mask | seen)).bit_count()
-            seen |= low
-        return total
-
     def random_state() -> tuple[list[int], int, int] | None:
-        """Greedy random fill by orbits: (orbit ids, mask, edge count)."""
-        order = list(range(len(orbits)))
+        """Greedy random fill by cells: (cells, mask, edge count)."""
+        order = list(range(n))
         rng.shuffle(order)
         picked: list[int] = []
         mask = 0
@@ -320,20 +276,16 @@ def find_at_bound(
         budget = max_edges if max_edges is not None else 3 * n
         # independent-first pass, then relax to the allowance
         for relax in (False, True):
-            for oi in order:
-                om = orbit_mask[oi]
-                if om & mask:
+            for i in order:
+                if mask >> i & 1:
                     continue
-                size = om.bit_count()
-                if mask.bit_count() + size > target:
-                    continue
-                delta = added_edges(om, mask)
+                delta = (nmasks[i] & mask).bit_count()
                 if (not relax and delta) or edges + delta > budget:
                     continue
-                picked.append(oi)
-                mask |= om
+                picked.append(i)
+                mask |= 1 << i
                 edges += delta
-                if mask.bit_count() == target:
+                if len(picked) == target:
                     return picked, mask, edges
         return None
 
@@ -353,30 +305,26 @@ def find_at_bound(
         for _ in range(params.iterations):
             if node_budget is not None and nodes >= node_budget:
                 break
-            # propose: swap one chosen orbit for an unchosen one of equal size
+            # propose: move one chosen cell to an unchosen one
             si = rng.randrange(len(picked))
-            old_oi = picked[si]
-            base = mask & ~orbit_mask[old_oi]
-            base_edges = edges - added_edges(orbit_mask[old_oi], base)
+            old_cell = picked[si]
+            base = mask & ~(1 << old_cell)
+            base_edges = edges - (nmasks[old_cell] & base).bit_count()
             if hole and rng.random() < FRONTIER_BIAS:
                 new_cell = random_bit(rng, hole)
             else:
                 new_cell = rng.randrange(n)
-            new_oi = orbit_of[new_cell]
-            om = orbit_mask[new_oi]
-            if new_oi == old_oi or om & base:
+            if new_cell == old_cell or base >> new_cell & 1:
                 continue
-            if om.bit_count() != orbit_mask[old_oi].bit_count():
-                continue  # keep the target size exact
-            delta = added_edges(om, base)
+            delta = (nmasks[new_cell] & base).bit_count()
             if max_edges is not None and base_edges + delta > max_edges:
                 continue
-            trial_mask = base | om
+            trial_mask = base | 1 << new_cell
             t_final, t_uninf, t_prog = fixed_point_scored(dims, r, trial_mask)
             nodes += 1
             t_obj = t_uninf * scale - t_prog
             if schedule.step(rng, obj, t_obj):
-                picked[si] = new_oi
+                picked[si] = new_cell
                 mask = trial_mask
                 edges = base_edges + delta
                 obj = t_obj

@@ -6,11 +6,27 @@ bitsets, no shift tricks.  Deliberately slow and obvious.
 
 from __future__ import annotations
 
+import importlib.util
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 from gridperc.bounds import Status
 from gridperc.grid import CellSet, GridDims, embed, neighbours
+
+_BUILD_FAMILIES = Path(__file__).resolve().parent.parent / "scripts" / "build_families.py"
+
+
+def _regeneration_spec() -> dict[str, tuple[int, int, int, int]]:
+    spec = importlib.util.spec_from_file_location("build_families", _BUILD_FAMILIES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.FAMILIES
+
+
+# The families the store is regenerated from, by id: (a, b, residue mod 6,
+# minimum c), as scripts/build_families.py lists them.
+FAMILY_SPECS = _regeneration_spec()
 
 
 @lru_cache(maxsize=None)

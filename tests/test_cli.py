@@ -1,6 +1,8 @@
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,7 @@ def test_family_usage_error(capsys):
     assert main(["family", "assemble"]) == 2
     assert main(["family", "discover", "9x9"]) == 2
     assert main(["family", "assemble", "9x9", "11"]) == 2
+    assert main(["family", "assemble", "2x5", "6"]) == 2
 
 
 def test_combine_cli(tmp_path, capsys):
@@ -188,6 +191,18 @@ def test_console_script_entrypoint():
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_package_imports_without_the_pattern_store(tmp_path):
+    # the store regeneration script must start with no store on disk
+    package = tmp_path / "gridperc"
+    shutil.copytree(Path(gridperc.bounds.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (package / "data" / "families.txt").unlink()
+    cmd = [sys.executable, "-c", "import gridperc, gridperc.cli"]
+    run = subprocess.run(cmd, capture_output=True, timeout=60, cwd=tmp_path,
+                         env={"PYTHONPATH": str(tmp_path)})
+    assert run.returncode == 0, run.stderr.decode()
+
+
 def test_family_list_reads_the_given_store(tmp_path, capsys):
     store = tmp_path / "families.txt"
     copy = replace(builtin_patterns()["2x5"], family_id="2x5copy")
@@ -245,3 +260,19 @@ def test_traced_commands_simulate_once(tmp_path, capsys, monkeypatch, text, argv
 
     monkeypatch.setattr(gridperc.bounds, "fixed_point_mask", refuse)
     assert run_cli(capsys, *argv) == want
+
+
+def test_build_simulates_the_witness_once(capsys, monkeypatch):
+    # the Builder verifies the witness at its status; the command reprints it
+    dims = GridDims(9, 10, 11)
+    calls = []
+    kernel = gridperc.bounds.fixed_point_mask
+
+    def counting(grid, *args, **kwargs):
+        calls.append(grid)
+        return kernel(grid, *args, **kwargs)
+
+    monkeypatch.setattr(gridperc.bounds, "fixed_point_mask", counting)
+    code, out = run_cli(capsys, "build", "optimal", "9", "10", "11")
+    assert code == 0 and out.startswith(f"built {dims}: size ")
+    assert calls.count(dims) == 1

@@ -5,7 +5,6 @@ import pytest
 from gridperc.bounds import Status, classify, perfect_audit, surface_sum
 from gridperc.engine import percolate
 from gridperc.families import (
-    FAMILY_SPECS,
     FamilyError,
     FamilyPattern,
     assemble_family,
@@ -17,6 +16,7 @@ from gridperc.families import (
 from gridperc.grid import CellSet, GridDims
 from gridperc.gridtext import ParseError
 from gridperc.search import SearchError
+from oracle import FAMILY_SPECS
 
 
 @pytest.fixture(scope="module")

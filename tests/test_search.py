@@ -103,25 +103,6 @@ def test_find_at_bound_budget():
     assert result.nodes_explored <= 3
 
 
-def test_find_at_bound_symmetric_mode():
-    dims = GridDims(3, 3, 5)
-    sym = ((0, 1, 2), (False, False, True))
-    result = find_at_bound(dims, 13, rng_seed=1, symmetry=sym)
-    assert result.found
-    zmirror = orient_set(result.witness, sym)
-    assert zmirror.mask == result.witness.mask  # witness is mirror-fixed
-    assert classify(dims, result.witness).status is Status.PERFECT
-
-
-@pytest.mark.parametrize("sym", [
-    ((1, 0, 2), (False, True, False)),  # a 90-degree rotation: order 4
-    ((2, 1, 0), (False, False, False)),  # swaps sides 3 and 5: not an automorphism
-])
-def test_find_at_bound_rejects_symmetry_without_two_cell_orbits(sym):
-    with pytest.raises(SearchError):
-        find_at_bound(GridDims(3, 3, 5), 13, rng_seed=1, symmetry=sym)
-
-
 def test_automorphisms_preserve_percolation():
     # soundness of symmetry pruning: images of a percolating set percolate
     dims = GridDims(2, 3, 3)
