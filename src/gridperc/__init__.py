@@ -17,7 +17,6 @@ from .engine import (
     SimulationTruncated,
     degree_pair_sum,
     percolate,
-    step,
     surface_quantity,
 )
 from .families import (
@@ -84,7 +83,6 @@ __all__ = [
     "perfect_audit",
     "perfect_precondition",
     "render_trace",
-    "step",
     "surface_quantity",
     "surface_sum",
     "thickness1_entry",

@@ -5,7 +5,9 @@ neighbours; infection is permanent.  The engine works on int bitsets: the six
 axis neighbours of every cell are reached with two shifts per axis, and the
 neighbour counts of all cells are three bit planes filled by three full
 adders, so a step costs a few dozen big-int operations regardless of grid
-size.
+size.  At r = 3, the paper's threshold, the status-only fixed point needs
+only the first two adders: "at least 3 of 6" is read off their sums and
+carries.
 """
 
 from __future__ import annotations
@@ -121,50 +123,40 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
     """Iterate to the fixed point; returns (final mask, steps taken).
 
     Raises SimulationTruncated if max_steps productive steps do not reach it.
-    The loop is ``_count_planes`` and ``at_least`` written out in place, so
-    a step is a few dozen big-int operations and no call.
+    At r = 3 a step is the shifts and the two full adders of ``_count_planes``
+    written out in place, and "at least 3 of 6" is read straight off their
+    sums s1, s2 and carries c1, c2: two carries make at least 4, one carry
+    and a sum at least 3.  That is a few dozen big-int operations and no
+    call.  Every other r steps by ``step_mask``.
     """
     if r >= 8:
         return mask, 0  # a count is at most 6: no cell ever turns
-    n = dims.volume
-    limit = n if max_steps is None else max_steps
+    limit = dims.volume if max_steps is None else max_steps
     sz, zlo, zhi, sy, ylo, yhi, sx, xlo, xhi = _axis_shifts(dims)
-    full = (1 << n) - 1
-    r0, r1, r2 = r & 1, r & 2, r & 4
     steps = 0
     while True:
-        z0 = mask << sz & zlo
-        z1 = mask >> sz & zhi
-        y0 = mask << sy & ylo
-        y1 = mask >> sy & yhi
-        x0 = mask << sx & xlo
-        x1 = mask >> sx & xhi
-        p = z0 ^ z1
-        s1 = p ^ y0
-        c1 = z0 & z1 | p & y0
-        q = y1 ^ x0
-        s2 = q ^ x1
-        c2 = y1 & x0 | q & x1
-        h = s1 & s2
-        u = c1 ^ c2
-        b1 = u ^ h
-        b2 = c1 & c2 | u & h
-        ge = s1 ^ s2 if r0 else full
-        ge = b1 & ge if r1 else b1 | ge
-        nxt = mask | (b2 & ge if r2 else b2 | ge)
+        if r == 3:
+            z0 = mask << sz & zlo
+            z1 = mask >> sz & zhi
+            y0 = mask << sy & ylo
+            y1 = mask >> sy & yhi
+            x0 = mask << sx & xlo
+            x1 = mask >> sx & xhi
+            p = z0 ^ z1
+            s1 = p ^ y0
+            c1 = z0 & z1 | p & y0
+            q = y1 ^ x0
+            s2 = q ^ x1
+            c2 = y1 & x0 | q & x1
+            nxt = mask | c1 & c2 | (c1 | c2) & (s1 | s2)
+        else:
+            nxt = step_mask(dims, r, mask)
         if nxt == mask:
             return mask, steps
         if steps >= limit:
             raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
         mask = nxt
         steps += 1
-
-
-def step(dims: GridDims, r: int, current: CellSet) -> CellSet:
-    """A_t from A_{t-1}: superset of the input, idempotent at the fixed point."""
-    if current.dims != dims:
-        raise GridError("cell set belongs to a different grid")
-    return CellSet(dims, step_mask(dims, r, current.mask))
 
 
 # byte width of a lane -> (text encoding that widens one character to it, array code)

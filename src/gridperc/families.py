@@ -95,6 +95,15 @@ def _cut(mask: int, dims: GridDims, seam: int) -> list[tuple[str, str, int]]:
     return [(row[:seam], row[seam:], 6 * i) for i, row in enumerate(rows)]
 
 
+def _seam_touch(cuts: list[tuple[str, str, int]]) -> int:
+    """Block cells beside a boundary seed in the one-copy instance of a cut
+    witness: column 1 next to the left part's last column, column 6 next to
+    the right part's first.  The parts of a perfect witness are independent
+    and sit 6 columns apart, so a block makes that instance dependent exactly
+    when it meets this mask or has an internal edge."""
+    return text_mask("".join([f"{left[-1]}0000{right[0]}" for left, right, _ in cuts]))
+
+
 def assemble_family(pattern: FamilyPattern, c: int) -> CatalogEntry:
     """Assembled, size-checked, simulation-verified perfect witness."""
     seeds = pattern.seed_set(c)
@@ -176,6 +185,7 @@ def discover_family(
 
     inst_dims = [GridDims(a, b, min_c + 6 * k) for k in (1, 2)]
     scale = 2 * inst_dims[-1].volume + 1
+    dependent = (scale * inst_dims[0].volume, inst_dims[0].volume, 0)
     nodes = 0
     bnm = neighbour_masks(bdims)
 
@@ -185,8 +195,8 @@ def discover_family(
         nonlocal nodes
         dims = inst_dims[k - 1]
         block = mask_text(b_mask, b_n)
-        # this runs on every move; an f-string builds a row in one step, which
-        # beat `left + ... + right` measurably here
+        # this runs on every move the seam screen passes; an f-string builds a
+        # row in one step, which beat `left + ... + right` measurably here
         mask = text_mask("".join([f"{left}{block[at:at + 6] * k}{right}" for left, right, at in cuts]))
         if edge_count_mask(dims, mask):
             # dependent assembly can never be perfect; heavy penalty
@@ -235,6 +245,7 @@ def discover_family(
             if b_mask is None:
                 continue
             cuts = _cut(m_mask, mdims, seam)
+            touch = _seam_touch(cuts)
             obj, uninf, hole = evaluate(cuts, b_mask, 1)
             schedule = Schedule(T_START, T_END, params.iterations, scale)
             for _ in range(params.iterations):
@@ -252,7 +263,10 @@ def discover_family(
                 if new == old or (b_mask >> new) & 1:
                     continue
                 trial = (b_mask & ~(1 << old)) | (1 << new)
-                t_obj, t_uninf, t_hole = evaluate(cuts, trial, 1)
+                if trial & touch or edge_count_mask(bdims, trial):
+                    t_obj, t_uninf, t_hole = dependent  # what evaluate would return
+                else:
+                    t_obj, t_uninf, t_hole = evaluate(cuts, trial, 1)
                 if schedule.step(rng, obj, t_obj):
                     b_mask = trial
                     obj, uninf, hole = t_obj, t_uninf, t_hole

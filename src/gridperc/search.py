@@ -182,10 +182,26 @@ def fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, int
 
 
 def random_bit(rng: random.Random, mask: int) -> int:
-    """Index of a uniformly chosen set bit of a nonzero mask (one rng draw)."""
-    for _ in range(rng.randrange(mask.bit_count())):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
+    """Index of a uniformly chosen set bit of a nonzero mask (one rng draw).
+
+    The draw k picks the k-th set bit from the bottom, found by halving the
+    mask: its low half keeps that bit if it holds more than k set bits, else
+    the mask drops that half and k drops by its count.  At k = 0 the bit is
+    the lowest one left.
+    """
+    k = rng.randrange(mask.bit_count())
+    index = 0
+    while k:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        count = low.bit_count()
+        if k < count:
+            mask = low
+        else:
+            k -= count
+            mask >>= half
+            index += half
+    return index + (mask & -mask).bit_length() - 1
 
 
 class Schedule:

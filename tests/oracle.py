@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations for cross-checking.
 
 Everything here works on explicit (x, y, z) coordinates and Python sets; no
-bitsets, no shift tricks.  Deliberately slow and obvious.
+bitsets, no shift tricks.  Deliberately slow and obvious.  The one exception
+is ``step``, the engine's ``step_mask`` on a cell set, which the engine tests
+compare against ``step_brute``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 from gridperc.bounds import Status
-from gridperc.grid import CellSet, GridDims, embed, neighbours
+from gridperc.engine import step_mask
+from gridperc.grid import CellSet, GridDims, GridError, embed, neighbours
 
 _BUILD_FAMILIES = Path(__file__).resolve().parent.parent / "scripts" / "build_families.py"
 
@@ -50,6 +53,14 @@ def step_brute(dims: GridDims, r: int, infected: set) -> set:
         if count >= r:
             new.add(cell)
     return new
+
+
+def step(dims: GridDims, r: int, current: CellSet) -> CellSet:
+    """A_t from A_{t-1} as a cell set, by the engine's ``step_mask``: a
+    superset of the input, idempotent at the fixed point."""
+    if current.dims != dims:
+        raise GridError("cell set belongs to a different grid")
+    return CellSet(dims, step_mask(dims, r, current.mask))
 
 
 def fixed_point_brute(dims: GridDims, r: int, infected: set) -> tuple[set, int]:

@@ -7,12 +7,11 @@ from gridperc.engine import (
     degree_pair_sum,
     fixed_point_mask,
     percolate,
-    step,
     surface_quantity,
 )
 from gridperc.grid import CellSet, GridDims
 
-from oracle import fixed_point_brute, pair_sum_brute, step_brute
+from oracle import fixed_point_brute, pair_sum_brute, step, step_brute
 
 DIAMOND = [(1, 1, 1), (1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 3, 3)]
 
@@ -115,6 +114,26 @@ def test_truncation_is_loud():
     seeds = CellSet.from_cells(dims, DIAMOND)  # would percolate in one step
     with pytest.raises(SimulationTruncated):
         percolate(dims, 3, seeds, max_steps=0)
+
+
+# per r, a seed set that needs several steps: a diagonal of a 5x5 layer at
+# r = 2, and the cells of 3x3x3 with x + y + z divisible by 3 at r = 3
+SLOW_FILLS = {
+    2: (GridDims(1, 5, 5), [(1, i, i) for i in range(1, 6)]),
+    3: (GridDims(3, 3, 3), [c for c in GridDims(3, 3, 3).cells() if sum(c) % 3 == 0]),
+}
+
+
+@pytest.mark.parametrize("r", sorted(SLOW_FILLS))
+def test_fixed_point_truncation_at_max_steps(r):
+    dims, cells = SLOW_FILLS[r]
+    mask = CellSet.from_cells(dims, cells).mask
+    final, steps = fixed_point_mask(dims, r, mask)
+    assert steps >= 2
+    assert steps == fixed_point_brute(dims, r, set(cells))[1]
+    assert fixed_point_mask(dims, r, mask, max_steps=steps) == (final, steps)
+    with pytest.raises(SimulationTruncated):
+        fixed_point_mask(dims, r, mask, max_steps=steps - 1)
 
 
 def test_fixed_point_soundness():

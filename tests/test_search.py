@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from gridperc.bounds import Status, classify, lower_bound
-from gridperc.grid import CellSet, GridDims, automorphisms, orient_set
+from gridperc.grid import CellSet, GridDims, automorphisms, mask_indices, orient_set
 from gridperc.search import (
     AnnealParams,
     SearchError,
@@ -9,6 +11,7 @@ from gridperc.search import (
     find_at_bound,
     min_22c,
     min_exhaustive,
+    random_bit,
 )
 
 
@@ -122,3 +125,27 @@ def test_find_at_bound_seeded_stream_is_pinned(rng_seed, nodes, mask):
     result = find_at_bound(GridDims(3, 3, 3), 9, rng_seed=rng_seed, node_budget=1000)
     assert result.mode is SearchMode.HEURISTIC_WITNESS
     assert (result.nodes_explored, result.witness.mask) == (nodes, mask)
+
+
+def _random_bit_masks():
+    rng = random.Random(17)
+    yield 1
+    yield 1 << 200  # a single bit, and it is the top one
+    yield (1 << 64) - 1  # dense
+    yield (1 << 729) - 1
+    for n in (7, 64, 729, 4096):
+        for density in (0.02, 0.5, 0.98):
+            mask = sum(1 << i for i in range(n) if rng.random() < density)
+            yield mask | 1 << (n - 1)  # the top bit set
+
+
+def test_random_bit_is_the_drawn_set_bit_by_one_draw():
+    rng = random.Random(2024)
+    for mask in _random_bit_masks():
+        indices = mask_indices(mask)
+        for _ in range(50):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            k = clone.randrange(len(indices))
+            assert random_bit(rng, mask) == indices[k]
+            assert rng.getstate() == clone.getstate()  # exactly one draw
