@@ -91,10 +91,6 @@ class Catalog:
         entry = self.entries.get(entry_key(dims, status))
         return None if entry is None else entry.reoriented(dims)
 
-    def verify_all(self) -> None:
-        for key in sorted(self.entries):
-            self.entries[key] = self.entries[key].verify()
-
     def dump(self) -> str:
         return "# gridperc witness catalog v1\n" + "".join(
             write_record("entry", key, {

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import Status, classify, lower_bound, perfect_precondition
+from .bounds import Classification, Status, classify, lower_bound, perfect_precondition
 from .catalog import Catalog, CatalogEntry, CatalogError, builtin_catalog
 from .combine import CombineError, combine
 from .engine import SimulationTruncated
@@ -49,9 +49,9 @@ def _emit(args, record: dict, human: str) -> None:
         print(human)
 
 
-def _read_seed_file(path: str) -> tuple[GridDims, CellSet]:
+def _classify_seed_file(path: str, r: int = 3, max_steps: int | None = None) -> Classification:
     text = Path(path).read_text(encoding="utf-8") if path != "-" else sys.stdin.read()
-    return parse_set(text)
+    return classify(*parse_set(text), r=r, max_steps=max_steps)
 
 
 def _write_witness(args, entry_seeds: CellSet) -> None:
@@ -60,11 +60,6 @@ def _write_witness(args, entry_seeds: CellSet) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
     elif not args.machine:
         print(text, end="")
-
-
-def _builder(args) -> Builder:
-    catalog = Catalog.load(args.catalog) if args.catalog else builtin_catalog()
-    return Builder(catalog=catalog)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -87,8 +82,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dims, seeds = _read_seed_file(args.seedfile)
-    result = classify(dims, seeds, r=args.r, max_steps=args.max_steps)
+    result = _classify_seed_file(args.seedfile, args.r, args.max_steps)
+    dims = result.dims
     # a printed trace is read first, so the status below is read off it
     rendered = render_trace(result.trace) if args.trace and not args.machine else None
     record = {
@@ -108,8 +103,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dims, seeds = _read_seed_file(args.seedfile)
-    result = classify(dims, seeds, r=args.r, max_steps=args.max_steps)
+    result = _classify_seed_file(args.seedfile, args.r, args.max_steps)
+    dims = result.dims
     record = {
         "record": "verify",
         "dims": str(dims),
@@ -123,13 +118,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    dims, seeds = _read_seed_file(args.seedfile)
-    result = classify(dims, seeds, r=args.r, max_steps=args.max_steps)
+    result = _classify_seed_file(args.seedfile, args.r, args.max_steps)
     text = render_trace(result.trace)
     if args.machine:
         print(json.dumps({
             "record": "render",
-            "dims": str(dims),
+            "dims": str(result.dims),
             "status": str(result.status),
             "grid": text,
         }, sort_keys=True))
@@ -141,13 +135,12 @@ def cmd_render(args) -> int:
 def cmd_combine(args) -> int:
     parts = []
     for path in (args.p1, args.p2, args.p3, args.p4):
-        dims, seeds = _read_seed_file(path)
-        result = classify(dims, seeds)
+        result = _classify_seed_file(path)
         if result.status < Status.OPTIMAL:
-            print(f"error: part {path} ({dims}) classifies as {result.status}",
+            print(f"error: part {path} ({result.dims}) classifies as {result.status}",
                   file=sys.stderr)
             return EXIT_FAILED
-        parts.append(CatalogEntry(dims, seeds, result.status, f"file {path}"))
+        parts.append(CatalogEntry(result.dims, result.seeds, result.status, f"file {path}"))
     entry = combine(*parts)
     record = {
         "record": "combine",
@@ -162,12 +155,9 @@ def cmd_combine(args) -> int:
 
 
 def cmd_build(args) -> int:
-    builder = _builder(args)
+    catalog = Catalog.load(args.catalog) if args.catalog else builtin_catalog()
     dims = GridDims(args.a, args.b, args.c)
-    if args.kind == "perfect":
-        entry = builder.perfect(dims)
-    else:
-        entry = builder.optimal(dims)
+    entry = getattr(Builder(catalog=catalog), args.kind)(dims)
     # the Builder verified the witness by simulation at this status
     record = {
         "record": "build",
@@ -319,10 +309,12 @@ def make_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", "-o", help="write the witness/seed text here")
 
+    def add_dims(p):
+        for side in ("a", "b", "c"):
+            p.add_argument(side, type=int)
+
     p = sub.add_parser("bound", help="lower bound and perfectness precondition")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    add_dims(p)
     p.set_defaults(func=cmd_bound)
 
     def add_seed_file_command(name, func, help_text):
@@ -347,18 +339,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a perfect/optimal witness")
     p.add_argument("kind", choices=["perfect", "optimal"])
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    add_dims(p)
     p.add_argument("--catalog", help="witness catalog path (default: built-in)")
     add_out(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("search", help="exhaustive or stochastic search")
     p.add_argument("mode", choices=["exhaustive", "atbound"])
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    add_dims(p)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
@@ -390,15 +378,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, CatalogError, GridError, SearchError) as exc:
+    except (ParseError, CatalogError, GridError, SearchError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DependencyError, CombineError, FamilyError, SimulationTruncated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

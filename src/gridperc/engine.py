@@ -220,9 +220,6 @@ class PercolationTrace:
             counts[i] = None
         return tuple(counts)
 
-    def time_of(self, cell) -> int | None:
-        return self.infection_time[self.dims.index(cell)]
-
     @property
     def final(self) -> CellSet:
         return CellSet(self.dims, self.final_mask)

@@ -32,6 +32,7 @@ from .search import (
     SearchMode,
     find_at_bound,
     fixed_point_scored,
+    greedy_fill,
     random_bit,
 )
 
@@ -205,19 +206,6 @@ def discover_family(
         nodes += 1
         return uninf * scale - prog, uninf, ~final & ((1 << dims.volume) - 1)
 
-    def random_block() -> int | None:
-        order = list(range(b_n))
-        rng.shuffle(order)
-        mask = 0
-        got = 0
-        for i in order:
-            if got == b_target:
-                break
-            if bnm[i] & mask == 0:
-                mask |= 1 << i
-                got += 1
-        return mask if got == b_target else None
-
     def hole_to_block(hole_cell: int, seam: int) -> int | None:
         """Map an uninfected cell of the one-copy instance into block coordinates."""
         c = inst_dims[0].c
@@ -241,9 +229,10 @@ def discover_family(
 
         # phase 2: per seam, anneal the block on the one-copy instance
         for seam in seams:
-            b_mask = random_block()
-            if b_mask is None:
+            fill = greedy_fill(rng, bnm, b_target, 0)  # an independent block
+            if fill is None:
                 continue
+            b_mask = fill[1]
             cuts = _cut(m_mask, mdims, seam)
             touch = _seam_touch(cuts)
             obj, uninf, hole = evaluate(cuts, b_mask, 1)

@@ -180,15 +180,6 @@ class CellSet:
     def from_cells(dims: GridDims, cells: Iterable[Cell]) -> "CellSet":
         return CellSet(dims, _mask_of(dims.volume, map(dims.index, cells)))
 
-    @staticmethod
-    def from_indices(dims: GridDims, indices: Iterable[int]) -> "CellSet":
-        def checked(i: int) -> int:
-            if not 0 <= i < dims.volume:
-                raise GridError(f"index {i} outside grid {dims}")
-            return i
-
-        return CellSet(dims, _mask_of(dims.volume, map(checked, indices)))
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -199,9 +190,6 @@ class CellSet:
         if other.dims != self.dims:
             raise GridError("cannot combine sets over different grids")
         return CellSet(self.dims, self.mask | other.mask)
-
-    def issubset(self, other: "CellSet") -> bool:
-        return self.dims == other.dims and self.mask & ~other.mask == 0
 
     def cells(self) -> list[Cell]:
         return [self.dims.cell(i) for i in mask_indices(self.mask)]

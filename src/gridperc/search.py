@@ -204,6 +204,37 @@ def random_bit(rng: random.Random, mask: int) -> int:
     return index + (mask & -mask).bit_length() - 1
 
 
+def greedy_fill(
+    rng: random.Random, nmasks: list[int], target: int, max_edges: int
+) -> tuple[list[int], int, int] | None:
+    """A random ``target``-cell set with at most ``max_edges`` internal edges,
+    as (cells in pick order, mask, edge count), or None if the fill falls short.
+
+    One shuffle of the cells orders two passes: the first takes each cell with
+    no neighbour taken yet, the second each cell the allowance still admits.
+    At ``max_edges`` 0 the second pass takes nothing, since a cell's neighbour
+    count in the set only grows, so the set is independent.
+    """
+    order = list(range(len(nmasks)))
+    rng.shuffle(order)
+    picked: list[int] = []
+    mask = 0
+    edges = 0
+    for relax in (False, True):
+        for i in order:
+            if mask >> i & 1:
+                continue
+            delta = (nmasks[i] & mask).bit_count()
+            if (not relax and delta) or edges + delta > max_edges:
+                continue
+            picked.append(i)
+            mask |= 1 << i
+            edges += delta
+            if len(picked) == target:
+                return picked, mask, edges
+    return None
+
+
 class Schedule:
     """Geometric cooling from t_start to t_end over ``iterations`` moves and the
     Metropolis test on integer objectives in units of ``scale``.  ``since``
@@ -282,34 +313,11 @@ def find_at_bound(
     nodes = 0
     scale = 2 * n + 1  # objective = uninfected*scale - progress, all integer
 
-    def random_state() -> tuple[list[int], int, int] | None:
-        """Greedy random fill by cells: (cells, mask, edge count)."""
-        order = list(range(n))
-        rng.shuffle(order)
-        picked: list[int] = []
-        mask = 0
-        edges = 0
-        budget = max_edges if max_edges is not None else 3 * n
-        # independent-first pass, then relax to the allowance
-        for relax in (False, True):
-            for i in order:
-                if mask >> i & 1:
-                    continue
-                delta = (nmasks[i] & mask).bit_count()
-                if (not relax and delta) or edges + delta > budget:
-                    continue
-                picked.append(i)
-                mask |= 1 << i
-                edges += delta
-                if len(picked) == target:
-                    return picked, mask, edges
-        return None
-
     for _ in range(params.restarts):
-        state = random_state()
-        if state is None:
+        fill = greedy_fill(rng, nmasks, target, 3 * n if max_edges is None else max_edges)
+        if fill is None:
             continue
-        picked, mask, edges = state
+        picked, mask, edges = fill
         final, uninf, prog = fixed_point_scored(dims, r, mask)
         nodes += 1
         obj = uninf * scale - prog

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations for cross-checking.
 
 Everything here works on explicit (x, y, z) coordinates and Python sets; no
-bitsets, no shift tricks.  Deliberately slow and obvious.  The one exception
-is ``step``, the engine's ``step_mask`` on a cell set, which the engine tests
-compare against ``step_brute``.
+bitsets, no shift tricks.  Deliberately slow and obvious.  The exceptions are
+``step``, the engine's ``step_mask`` on a cell set, which the engine tests
+compare against ``step_brute``, and the small helpers after it that only the
+tests call (``from_indices``, ``issubset``, ``time_of``, ``verify_all``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 from gridperc.bounds import Status
-from gridperc.engine import step_mask
+from gridperc.catalog import Catalog
+from gridperc.engine import PercolationTrace, step_mask
 from gridperc.grid import CellSet, GridDims, GridError, embed, neighbours
 
 _BUILD_FAMILIES = Path(__file__).resolve().parent.parent / "scripts" / "build_families.py"
@@ -61,6 +63,46 @@ def step(dims: GridDims, r: int, current: CellSet) -> CellSet:
     if current.dims != dims:
         raise GridError("cell set belongs to a different grid")
     return CellSet(dims, step_mask(dims, r, current.mask))
+
+
+def from_indices(dims: GridDims, indices) -> CellSet:
+    """The cell set of the given cell indices; GridError on one outside the grid."""
+    return CellSet.from_cells(dims, map(dims.cell, indices))
+
+
+def issubset(inner: CellSet, outer: CellSet) -> bool:
+    """Whether the two sets share a grid and every cell of ``inner`` is in ``outer``."""
+    return inner.dims == outer.dims and all(cell in outer for cell in inner.cells())
+
+
+def time_of(trace: PercolationTrace, cell) -> int | None:
+    """Infection time of one cell: None if never infected, 0 for a seed."""
+    return trace.infection_time[trace.dims.index(cell)]
+
+
+def verify_all(catalog: Catalog) -> None:
+    """Re-verify every entry by simulation, in key order, keeping the verified copies."""
+    for key in sorted(catalog.entries):
+        catalog.entries[key] = catalog.entries[key].verify()
+
+
+def independent_fill_brute(rng, dims: GridDims, target: int) -> int | None:
+    """Mask of a random independent ``target``-cell set, or None if it falls short.
+
+    One shuffle of the cell indices, then each cell with no neighbour taken
+    yet, until ``target`` are taken: family discovery's block seeding, cell
+    by cell, the reference for ``search.greedy_fill`` at ``max_edges`` 0.
+    """
+    cells = list(dims.cells())
+    order = list(range(dims.volume))
+    rng.shuffle(order)
+    taken: set = set()
+    for i in order:
+        if len(taken) == target:
+            break
+        if not any(nb in taken for nb in neighbours_brute(dims, cells[i])):
+            taken.add(cells[i])
+    return CellSet.from_cells(dims, taken).mask if len(taken) == target else None
 
 
 def fixed_point_brute(dims: GridDims, r: int, infected: set) -> tuple[set, int]:

@@ -13,6 +13,8 @@ from gridperc.catalog import (
 )
 from gridperc.grid import CellSet, GridDims
 
+from oracle import verify_all
+
 DIAMOND = [(1, 1, 1), (1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 3, 3)]
 
 
@@ -95,7 +97,7 @@ def test_catalog_parse_errors(text, fragment):
 def test_builtin_catalog_verifies_and_sizes():
     cat = builtin_catalog()
     assert len(cat.entries) > 40
-    cat.verify_all()
+    verify_all(cat)
     for entry in cat.entries.values():
         assert entry.verified
         assert check_size(entry)

@@ -14,6 +14,8 @@ from gridperc.families import builtin_patterns, save_patterns
 from gridperc.gridtext import parse_set, write_set
 from gridperc.grid import CellSet, GridDims
 
+from oracle import verify_all
+
 DIAMOND_TEXT = "X.X\n.X.\nX.X\n"
 
 
@@ -102,6 +104,17 @@ def test_build_bad_catalog_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: expected 'entry'")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{m}"],
+    ["build", "perfect", "3", "3", "3", "--catalog", "{m}"],
+    ["family", "list", "--patterns", "{m}"],
+])
+def test_missing_files_are_usage_errors(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    assert main([arg.format(m=missing) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_search_exhaustive(capsys):
     code, out = run_cli(capsys, "--machine", "search", "exhaustive", "2", "2", "3")
     record = json.loads(out.splitlines()[0])
@@ -163,7 +176,7 @@ def test_search_emits_catalog_records(tmp_path, capsys):
     assert code == 0
     cat = Catalog.load(cat_path)
     assert set(cat.entries) == {"3x3x3:perfect", "2x2x3:optimal"}
-    cat.verify_all()
+    verify_all(cat)
 
 
 def test_search_catalogues_only_three_neighbour_witnesses(tmp_path, capsys):

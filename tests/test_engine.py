@@ -11,7 +11,7 @@ from gridperc.engine import (
 )
 from gridperc.grid import CellSet, GridDims
 
-from oracle import fixed_point_brute, pair_sum_brute, step, step_brute
+from oracle import fixed_point_brute, pair_sum_brute, step, step_brute, time_of
 
 DIAMOND = [(1, 1, 1), (1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 3, 3)]
 
@@ -80,7 +80,7 @@ def test_trace_times_and_audit_counts():
     seeds = CellSet.from_cells(dims, DIAMOND)
     trace = percolate(dims, 3, seeds)
     for cell in dims.cells():
-        t = trace.time_of(cell)
+        t = time_of(trace, cell)
         i = dims.index(cell)
         if cell in seeds:
             assert t == 0
@@ -97,13 +97,13 @@ def test_time_consistency_randomized():
     for dims, seeds in random_sets(count=25, seed=99):
         trace = percolate(dims, 3, seeds)
         for cell in dims.cells():
-            t = trace.time_of(cell)
+            t = time_of(trace, cell)
             if t is None or t == 0:
                 continue
             earlier = sum(
                 1
                 for nb in neighbours(dims, cell)
-                if trace.time_of(nb) is not None and trace.time_of(nb) < t
+                if time_of(trace, nb) is not None and time_of(trace, nb) < t
             )
             assert earlier >= 3
             assert trace.neighbours_at_infection[dims.index(cell)] == earlier

@@ -13,7 +13,7 @@ from gridperc.engine import edge_count_mask, neighbour_masks
 from gridperc.families import FamilyPattern, _cut, _pattern_from_masks, _seam_touch, builtin_patterns
 from gridperc.grid import CellSet, GridDims
 
-from oracle import family_seed_set_brute
+from oracle import family_seed_set_brute, from_indices
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -35,7 +35,7 @@ def random_patterns(draw):
         CellSet(GridDims(a, b, w), draw(st.integers(0, (1 << a * b * w) - 1))) for w in (wl, wr)
     )
     cells = draw(st.permutations(range(a * b * 6)))[: 2 * (a + b)]
-    block = CellSet.from_indices(GridDims(a, b, 6), cells)
+    block = from_indices(GridDims(a, b, 6), cells)
     min_c = wl + wr
     return FamilyPattern("random", a, b, min_c % 6, min_c, left, block, right)
 

@@ -13,7 +13,7 @@ from gridperc.grid import (
     orientations,
 )
 
-from oracle import neighbours_brute
+from oracle import issubset, neighbours_brute
 
 
 def test_dims_validation():
@@ -68,7 +68,7 @@ def test_cellset_basics():
         CellSet.from_cells(dims, [(3, 1, 1)])
     full = CellSet.full(dims)
     assert len(full) == dims.volume
-    assert s.issubset(full)
+    assert issubset(s, full)
 
 
 def test_automorphism_group_sizes():

@@ -1,18 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridperc.bounds import Status, classify, lower_bound
+from gridperc.engine import edge_count_mask, neighbour_masks
 from gridperc.grid import CellSet, GridDims, automorphisms, mask_indices, orient_set
 from gridperc.search import (
     AnnealParams,
     SearchError,
     SearchMode,
     find_at_bound,
+    greedy_fill,
     min_22c,
     min_exhaustive,
     random_bit,
 )
+
+from oracle import independent_fill_brute
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 @pytest.mark.parametrize(
@@ -149,3 +157,38 @@ def test_random_bit_is_the_drawn_set_bit_by_one_draw():
             k = clone.randrange(len(indices))
             assert random_bit(rng, mask) == indices[k]
             assert rng.getstate() == clone.getstate()  # exactly one draw
+
+
+@st.composite
+def fill_cases(draw):
+    """A grid up to 4x4x5, a target up to its volume, an edge allowance up to
+    the full grid's edge count, and an rng seed."""
+    dims = GridDims(*(draw(st.integers(1, side)) for side in (4, 4, 5)))
+    full_edges = edge_count_mask(dims, (1 << dims.volume) - 1)
+    target, max_edges = draw(st.integers(1, dims.volume)), draw(st.integers(0, full_edges))
+    return dims, target, max_edges, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(fill_cases())
+def test_greedy_fill_meets_target_within_allowance(case):
+    dims, target, max_edges, seed = case
+    fill = greedy_fill(random.Random(seed), neighbour_masks(dims), target, max_edges)
+    if fill is None:
+        # any target cells fit an allowance that holds every edge of the grid
+        assert max_edges < edge_count_mask(dims, (1 << dims.volume) - 1)
+        return
+    picked, mask, edges = fill
+    assert len(picked) == len(set(picked)) == target
+    assert sum(1 << i for i in picked) == mask
+    assert edge_count_mask(dims, mask) == edges <= max_edges
+
+
+@PROPERTY
+@given(fill_cases())
+def test_greedy_fill_without_allowance_is_the_independent_fill(case):
+    dims, target, _, seed = case
+    rng, ref = random.Random(seed), random.Random(seed)
+    fill = greedy_fill(rng, neighbour_masks(dims), target, 0)
+    assert (None if fill is None else fill[1]) == independent_fill_brute(ref, dims, target)
+    assert rng.getstate() == ref.getstate()

@@ -20,7 +20,7 @@ from gridperc.families import assemble_family, builtin_patterns
 from gridperc.grid import CellSet, GridDims, embed, mask_indices
 from gridperc.pipelines import Builder
 
-from oracle import audit_lists_brute, step_brute, trace_brute
+from oracle import audit_lists_brute, from_indices, step_brute, trace_brute
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -30,7 +30,7 @@ def seeded_grids(draw, max_sides=(4, 4, 5)):
     dims = GridDims(*(draw(st.integers(1, side)) for side in max_sides))
     rng = draw(st.randoms(use_true_random=False))
     density = draw(st.floats(0.05, 0.8))
-    return dims, CellSet.from_indices(dims, (i for i in range(dims.volume) if rng.random() < density))
+    return dims, from_indices(dims, (i for i in range(dims.volume) if rng.random() < density))
 
 
 @PROPERTY
