@@ -8,6 +8,19 @@ adders, so a step costs a few dozen big-int operations regardless of grid
 size.  At r = 3, the paper's threshold, the status-only fixed point needs
 only the first two adders: "at least 3 of 6" is read off their sums and
 carries.
+
+A grid's shift table holds, per axis z, y, x, ``(shift, down, up)``: the index
+step along the axis, the cells with a neighbour one step down it and those
+with one a step up.  A set's neighbours up the axis are ``(m & up) << shift``
+and those down it ``(m & down) >> shift``, so the mask is applied to the
+source and a missing axis, all zeros, costs an AND with 0.  A shift down
+the outermost axis x falls off the end of the grid, so x's ``down`` holds
+every cell and the kernels write that shift as a bare ``m >> shift``; a
+missing x axis takes the volume as its shift, which makes that 0 as well.
+
+At a fixed point no uninfected cell has r infected neighbours, so the
+infected neighbours of the uninfected cells, each count saturated at r - 1,
+add up to the grid edges with exactly one end infected: ``cut_count_mask``.
 """
 
 from __future__ import annotations
@@ -25,12 +38,15 @@ class SimulationTruncated(RuntimeError):
 
 
 def _axis_shifts(dims: GridDims) -> tuple[int, ...]:
-    """Per axis z, y, x: (shift, keep for ``<<``, keep for ``>>``), flattened.
+    """Per axis z, y, x: (shift, down, up), flattened.
 
-    ``(m << shift) & keep_lo`` marks cells whose neighbour one step down the
-    axis is in ``m``, ``(m >> shift) & keep_hi`` those whose neighbour one step
-    up is; the masks stop shifts from wrapping across rows and layers.  An
-    axis of length 1 is (0, 0, 0), so both of its shifted masks are empty.
+    ``(m & up) << shift`` marks cells whose neighbour one step down the axis
+    is in ``m``, ``(m & down) >> shift`` those whose neighbour one step up is;
+    masking the source stops shifts from wrapping across rows and layers.  A
+    z or y axis of length 1 is (0, 0, 0), so both of its shifted masks are
+    empty at the cost of an AND with 0.  On x, ``down`` is every cell and
+    ``up`` every cell below the top layer; a length-1 x takes the volume as
+    its shift, so ``m >> shift`` is empty too.
     Cached by the side lengths, which hash in C; the frozen dims would run
     their generated ``__hash__`` and ``__eq__`` on every call.
     """
@@ -47,15 +63,15 @@ def _side_shifts(a: int, b: int, c: int) -> tuple[int, ...]:
 
     z = (1, full & ~col_first, full & ~col_last) if c > 1 else (0, 0, 0)
     y = (c, full & ~row_first, full & ~row_last) if b > 1 else (0, 0, 0)
-    x = (b * c, full, full) if a > 1 else (0, 0, 0)
+    x = (b * c, full, full >> b * c)
     return z + y + x
 
 
 def neighbour_masks(dims: GridDims) -> list[int]:
     """Per cell index, the bitmask of its grid neighbours.
 
-    A cell's bit moved one step along each axis direction and kept by that
-    direction's mask from ``_axis_shifts``.
+    A cell's bit, kept by each direction's source mask from ``_axis_shifts``,
+    moved one step along that direction.
     """
     shifts = _axis_shifts(dims)
     axes = list(zip(shifts[::3], shifts[1::3], shifts[2::3]))
@@ -63,8 +79,8 @@ def neighbour_masks(dims: GridDims) -> list[int]:
     for i in range(dims.volume):
         bit = 1 << i
         m = 0
-        for shift, keep_lo, keep_hi in axes:
-            m |= bit << shift & keep_lo | bit >> shift & keep_hi
+        for shift, down, up in axes:
+            m |= (bit & up) << shift | (bit & down) >> shift
         out.append(m)
     return out
 
@@ -76,13 +92,13 @@ def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:
     and the carry of the two sums; a count is at most 6, so three planes
     never overflow.
     """
-    sz, zlo, zhi, sy, ylo, yhi, sx, xlo, xhi = shifts
-    z0 = mask << sz & zlo
-    z1 = mask >> sz & zhi
-    y0 = mask << sy & ylo
-    y1 = mask >> sy & yhi
-    x0 = mask << sx & xlo
-    x1 = mask >> sx & xhi
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
+    z0 = (mask & zup) << sz
+    z1 = (mask & zdown) >> sz
+    y0 = (mask & yup) << sy
+    y1 = (mask & ydown) >> sy
+    x0 = (mask & xup) << sx
+    x1 = mask >> sx
     p = z0 ^ z1
     s1 = p ^ y0
     c1 = z0 & z1 | p & y0
@@ -99,19 +115,17 @@ def at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
 
     Compared from the low bit up: where r has a 1 the count needs it too and
     the lower bits must already qualify; where r has a 0, a 1 in the count
-    wins outright.  A count is at most 6, so r >= 8 admits no cell.
+    wins outright.  A count is at least 0 and at most 6, so r <= 0 admits
+    every cell and r >= 8 none.
     """
+    if r <= 0:
+        return full
     if r >= 8:
         return 0
     b0, b1, b2 = planes
     ge = b0 if r & 1 else full
     ge = b1 & ge if r & 2 else b1 | ge
     return b2 & ge if r & 4 else b2 | ge
-
-
-def count_planes(dims: GridDims, mask: int) -> tuple[int, int, int]:
-    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``."""
-    return _count_planes(mask, _axis_shifts(dims))
 
 
 def step_mask(dims: GridDims, r: int, mask: int) -> int:
@@ -132,16 +146,16 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
     if r >= 8:
         return mask, 0  # a count is at most 6: no cell ever turns
     limit = dims.volume if max_steps is None else max_steps
-    sz, zlo, zhi, sy, ylo, yhi, sx, xlo, xhi = _axis_shifts(dims)
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = _axis_shifts(dims)
     steps = 0
     while True:
         if r == 3:
-            z0 = mask << sz & zlo
-            z1 = mask >> sz & zhi
-            y0 = mask << sy & ylo
-            y1 = mask >> sy & yhi
-            x0 = mask << sx & xlo
-            x1 = mask >> sx & xhi
+            z0 = (mask & zup) << sz
+            z1 = (mask & zdown) >> sz
+            y0 = (mask & yup) << sy
+            y1 = (mask & ydown) >> sy
+            x0 = (mask & xup) << sx
+            x1 = mask >> sx
             p = z0 ^ z1
             s1 = p ^ y0
             c1 = z0 & z1 | p & y0
@@ -287,11 +301,11 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     exactly_three = c0 & c1
     exactly_three ^= exactly_three & c2
     adjacent = []
-    for shift, keep in zip(shifts[::3], shifts[2::3]):
-        if not shift:
-            continue
+    for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
+        if not up:
+            continue  # a length-1 axis
         # non-seed pairs one step of shift apart whose time planes all agree
-        both = turned & (turned >> shift) & keep
+        both = turned & (turned & down) >> shift
         differ = 0
         for plane in time_planes:
             differ |= plane ^ (plane >> shift)
@@ -313,9 +327,24 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
 
 def edge_count_mask(dims: GridDims, mask: int) -> int:
     """Grid edges with both ends in a raw bitset."""
-    shifts = _axis_shifts(dims)
-    # each internal edge, seen from its upper end
-    return sum((mask >> shift & keep & mask).bit_count() for shift, keep in zip(shifts[::3], shifts[2::3]))
+    sz, zdown, _, sy, ydown, _, sx, _, _ = _axis_shifts(dims)
+    # each internal edge, seen from its lower end
+    return (
+        ((mask & zdown) >> sz & mask).bit_count()
+        + ((mask & ydown) >> sy & mask).bit_count()
+        + (mask >> sx & mask).bit_count()
+    )
+
+
+def cut_count_mask(dims: GridDims, mask: int) -> int:
+    """Grid edges with exactly one end in a raw bitset."""
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = _axis_shifts(dims)
+    # each edge seen from its lower end, whose upper neighbour differs
+    return (
+        ((mask & zdown) >> sz ^ mask & zup).bit_count()
+        + ((mask & ydown) >> sy ^ mask & yup).bit_count()
+        + (mask >> sx ^ mask & xup).bit_count()
+    )
 
 
 def degree_pair_sum(dims: GridDims, cset: CellSet) -> int:

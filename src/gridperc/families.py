@@ -16,6 +16,7 @@ survive.  Discovered patterns are frozen into a plain-text store.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -232,7 +233,8 @@ def discover_family(
             fill = greedy_fill(rng, bnm, b_target, 0)  # an independent block
             if fill is None:
                 continue
-            b_mask = fill[1]
+            b_cells, b_mask, b_edges = fill
+            b_cells.sort()
             cuts = _cut(m_mask, mdims, seam)
             touch = _seam_touch(cuts)
             obj, uninf, hole = evaluate(cuts, b_mask, 1)
@@ -243,7 +245,8 @@ def discover_family(
                         f"family discovery budget exhausted for {fid} "
                         f"(best so far: {uninf} uninfected)"
                     )
-                old = random_bit(rng, b_mask)
+                si = rng.randrange(len(b_cells))  # the si-th set bit of b_mask
+                old = b_cells[si]
                 new = None
                 if hole and rng.random() < FRONTIER_BIAS:
                     new = hole_to_block(random_bit(rng, hole), seam)
@@ -251,13 +254,17 @@ def discover_family(
                     new = rng.randrange(b_n)
                 if new == old or (b_mask >> new) & 1:
                     continue
-                trial = (b_mask & ~(1 << old)) | (1 << new)
-                if trial & touch or edge_count_mask(bdims, trial):
+                base = b_mask ^ 1 << old
+                t_edges = b_edges - (bnm[old] & base).bit_count() + (bnm[new] & base).bit_count()
+                trial = base | 1 << new
+                if trial & touch or t_edges:
                     t_obj, t_uninf, t_hole = dependent  # what evaluate would return
                 else:
                     t_obj, t_uninf, t_hole = evaluate(cuts, trial, 1)
                 if schedule.step(rng, obj, t_obj):
-                    b_mask = trial
+                    del b_cells[si]
+                    insort(b_cells, new)
+                    b_mask, b_edges = trial, t_edges
                     obj, uninf, hole = t_obj, t_uninf, t_hole
                     if uninf == 0:
                         if evaluate(cuts, b_mask, 2)[1] != 0:

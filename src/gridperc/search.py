@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .bounds import lower_bound, surface_sum
-from .engine import at_least, count_planes, fixed_point_mask, neighbour_masks
+from .engine import cut_count_mask, fixed_point_mask, neighbour_masks
 from .grid import CellSet, GridDims, automorphisms, orbit_minima, orient_indices
 
 EXHAUSTIVE_CELL_CAP = 30
@@ -68,7 +68,8 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
     """Proven minimum percolating set size, by enumeration with pruning.
 
     Candidate sizes run upward from the surface lower bound (for r >= 3;
-    from 1 otherwise).  Subsets are enumerated in lexicographic cell order,
+    from 1 for r = 1, 2, and from 0 for r <= 0, where the empty set fills
+    the grid in one step).  Subsets are enumerated in lexicographic cell order,
     pruned by the internal-edge allowance, by canonical-form symmetry checks
     on the first two chosen cells, and by closure: a partial set whose union
     with every later cell does not percolate has no percolating completion,
@@ -88,8 +89,8 @@ def min_exhaustive(dims: GridDims, r: int = 3, node_budget: int | None = None) -
     first_cells = sorted(orbit_minima(dims))
     surface = 2 * surface_sum(dims)
 
-    start = lower_bound(dims)[1] if r >= 3 else 1
-    start = max(1, min(start, n))
+    start = lower_bound(dims)[1] if r >= 3 else 1 if r >= 1 else 0
+    start = min(start, n)
     nodes = 0
 
     def pair_ok(i1: int, i2: int) -> bool:
@@ -163,22 +164,12 @@ def fixed_point_scored(dims: GridDims, r: int, mask: int) -> tuple[int, int, int
 
     Progress counts, over uninfected cells at the fixed point, how many
     infected neighbours they already have (saturated at r-1); it breaks the
-    plateaus of the raw uninfected count.  It is read off the neighbour count
-    planes of the fixed point as the sum over j = 1..r-1 of the uninfected
-    cells with at least j infected neighbours.
+    plateaus of the raw uninfected count.  At a fixed point no uninfected
+    cell has r infected neighbours, so nothing saturates and the sum is the
+    number of grid edges with exactly one end infected, for every r.
     """
     final, _ = fixed_point_mask(dims, r, mask)
-    n = dims.volume
-    uninfected = n - final.bit_count()
-    if uninfected == 0:
-        return final, 0, 0
-    full = (1 << n) - 1
-    hole = full ^ final
-    planes = count_planes(dims, final)
-    progress = 0
-    for j in range(1, r):
-        progress += (hole & at_least(j, planes, full)).bit_count()
-    return final, uninfected, progress
+    return final, dims.volume - final.bit_count(), cut_count_mask(dims, final)
 
 
 def random_bit(rng: random.Random, mask: int) -> int:

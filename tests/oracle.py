@@ -4,7 +4,8 @@ Everything here works on explicit (x, y, z) coordinates and Python sets; no
 bitsets, no shift tricks.  Deliberately slow and obvious.  The exceptions are
 ``step``, the engine's ``step_mask`` on a cell set, which the engine tests
 compare against ``step_brute``, and the small helpers after it that only the
-tests call (``from_indices``, ``issubset``, ``time_of``, ``verify_all``).
+tests call (``count_planes``, ``from_indices``, ``issubset``, ``time_of``,
+``verify_all``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from gridperc.bounds import Status
 from gridperc.catalog import Catalog
-from gridperc.engine import PercolationTrace, step_mask
+from gridperc.engine import PercolationTrace, _axis_shifts, _count_planes, step_mask
 from gridperc.grid import CellSet, GridDims, GridError, embed, neighbours
 
 _BUILD_FAMILIES = Path(__file__).resolve().parent.parent / "scripts" / "build_families.py"
@@ -63,6 +64,11 @@ def step(dims: GridDims, r: int, current: CellSet) -> CellSet:
     if current.dims != dims:
         raise GridError("cell set belongs to a different grid")
     return CellSet(dims, step_mask(dims, r, current.mask))
+
+
+def count_planes(dims: GridDims, mask: int) -> tuple[int, int, int]:
+    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``."""
+    return _count_planes(mask, _axis_shifts(dims))
 
 
 def from_indices(dims: GridDims, indices) -> CellSet:
@@ -222,14 +228,14 @@ def axis_keep_masks_brute(dims: GridDims) -> tuple[int, ...]:
 
     Per axis z, y, x: the index step along the axis, the cells with a
     neighbour one step down it, and the cells with one a step up.  A shift
-    along the outermost axis x runs off the ends of the grid rather than
-    into another row, so both of its masks hold every cell.  An axis of
-    length 1 is (0, 0, 0).
+    down the outermost axis x runs off the end of the grid rather than into
+    another row, so its down mask holds every cell, and a length-1 x axis
+    steps by the whole volume.  A z or y axis of length 1 is (0, 0, 0).
     """
     sides = dims.as_tuple()
     out: tuple[int, ...] = ()
     for axis, step in ((2, 1), (1, dims.c), (0, dims.b * dims.c)):
-        if sides[axis] == 1:
+        if sides[axis] == 1 and axis:
             out += (0, 0, 0)
             continue
         down = up = 0
@@ -237,7 +243,7 @@ def axis_keep_masks_brute(dims: GridDims) -> tuple[int, ...]:
             coord = dims.cell(i)[axis]
             if axis == 0 or coord > 1:
                 down |= 1 << i
-            if axis == 0 or coord < sides[axis]:
+            if coord < sides[axis]:
                 up |= 1 << i
         out += (step, down, up)
     return out

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import gridperc.search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +114,22 @@ def test_find_at_bound_budget():
     result = find_at_bound(GridDims(2, 5, 5), 15, rng_seed=5, node_budget=3)
     assert result.mode is SearchMode.FAILED
     assert result.nodes_explored <= 3
+
+
+def test_find_at_bound_simulates_through_the_traced_name(monkeypatch):
+    # a tracer wraps the name the search module binds; every node is one call
+    calls = 0
+    original = gridperc.search.fixed_point_mask
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridperc.search, "fixed_point_mask", counted)
+    result = find_at_bound(GridDims(4, 4, 5), 19, rng_seed=2, node_budget=300)
+    assert result.mode is SearchMode.FAILED and result.nodes_explored == 300
+    assert calls == result.nodes_explored
 
 
 def test_automorphisms_preserve_percolation():
