@@ -20,7 +20,9 @@ gave the same results.  The document holds:
   copies, and the pattern ``_pattern_from_masks`` cuts back out of its
   minimal instance;
 - every built-in catalog entry under each of the 48 box isometries;
-- ``thickness1_entry(k)`` for k = 1..9.
+- ``thickness1_entry(k)`` for k = 1..9;
+- ``render_trace`` of runs longer than any verify input: paths 1x1x300 at
+  r = 1 and 2 and 1x1x40 at r = 1, each seeded at one end.
 
 Masks are written in hex.  Takes about 20 s on a 2-vCPU VM.
 
@@ -41,6 +43,7 @@ SEEDS = (1, 2)
 PLAN_MAX_SIDE = 30
 FAMILY_MAX_COPIES = 20
 THICKNESS1_MAX_K = 9
+LONG_TRACES = ((300, 1), (300, 2), (40, 1))  # (path length, r), seeded at one end
 
 
 def _mask(cset) -> str | None:
@@ -115,6 +118,15 @@ def verifies(gp, workload, seed: int) -> list:
     return out
 
 
+def long_traces(gp) -> list:
+    """Renders whose times pass 35, 63 and 255, and one that never spreads."""
+    out = []
+    for c, r in LONG_TRACES:
+        dims = gp.GridDims(1, 1, c)
+        out.append([c, r, gp.render_trace(gp.percolate(dims, r, gp.CellSet(dims, 1)))])
+    return out
+
+
 def families(gp) -> dict:
     """Each pattern's instances and the pattern cut back out of its minimal one."""
     out = {}
@@ -161,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         "families": families(gp),
         "orientations": orientations(gp),
         "thickness1": [_mask(gp.thickness1_entry(k).seeds) for k in range(1, THICKNESS1_MAX_K + 1)],
+        "long_traces": long_traces(gp),
     }
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     Path(args.out).write_bytes(data)

@@ -21,16 +21,23 @@ missing x axis takes the volume as its shift, which makes that 0 as well.
 At a fixed point no uninfected cell has r infected neighbours, so the
 infected neighbours of the uninfected cells, each count saturated at r - 1,
 add up to the grid edges with exactly one end infected: ``cut_count_mask``.
+
+A traced run (``percolate``) keeps only bit planes of each cell's infection
+time, ORing each step's new cells into them.  A trace derives the rest on
+first read: the counts of neighbours infected strictly earlier, by a
+bit-sliced compare of the time planes with their neighbours' and the same
+adders, and the per-cell tuples by widening the planes to byte lanes.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .grid import CellSet, GridDims, GridError, mask_indices, mask_text, text_mask
+from .grid import CellSet, GridDims, GridError, mask_indices, text_mask
 
 
 class SimulationTruncated(RuntimeError):
@@ -85,20 +92,13 @@ def neighbour_masks(dims: GridDims) -> list[int]:
     return out
 
 
-def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:
-    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``.
+def _sum6(z0: int, z1: int, y0: int, y1: int, x0: int, x1: int) -> tuple[int, int, int]:
+    """Bit planes (b0, b1, b2) of how many of six masks hold each cell.
 
-    Two full adders over the six shifted masks, then one over their carries
-    and the carry of the two sums; a count is at most 6, so three planes
-    never overflow.
+    Two full adders over the six masks, then one over their carries and the
+    carry of the two sums; a count is at most 6, so three planes never
+    overflow.
     """
-    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
-    z0 = (mask & zup) << sz
-    z1 = (mask & zdown) >> sz
-    y0 = (mask & yup) << sy
-    y1 = (mask & ydown) >> sy
-    x0 = (mask & xup) << sx
-    x1 = mask >> sx
     p = z0 ^ z1
     s1 = p ^ y0
     c1 = z0 & z1 | p & y0
@@ -108,6 +108,20 @@ def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:
     h = s1 & s2
     u = c1 ^ c2
     return s1 ^ s2, u ^ h, c1 & c2 | u & h
+
+
+def _count_planes(mask: int, shifts: tuple[int, ...]) -> tuple[int, int, int]:
+    """Bit planes (b0, b1, b2) of each cell's count of neighbours in ``mask``:
+    ``_sum6`` over the six shifted masks."""
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
+    return _sum6(
+        (mask & zup) << sz,
+        (mask & zdown) >> sz,
+        (mask & yup) << sy,
+        (mask & ydown) >> sy,
+        (mask & xup) << sx,
+        mask >> sx,
+    )
 
 
 def at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
@@ -137,10 +151,10 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
     """Iterate to the fixed point; returns (final mask, steps taken).
 
     Raises SimulationTruncated if max_steps productive steps do not reach it.
-    At r = 3 a step is the shifts and the two full adders of ``_count_planes``
-    written out in place, and "at least 3 of 6" is read straight off their
-    sums s1, s2 and carries c1, c2: two carries make at least 4, one carry
-    and a sum at least 3.  That is a few dozen big-int operations and no
+    At r = 3 a step is the shifts of ``_count_planes`` and the two full
+    adders of ``_sum6`` written out in place, and "at least 3 of 6" is read
+    straight off their sums s1, s2 and carries c1, c2: two carries make at
+    least 4, one carry and a sum at least 3.  That is a few dozen big-int operations and no
     call.  Every other r steps by ``step_mask``.
     """
     if r >= 8:
@@ -174,24 +188,32 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
 
 
 # byte width of a lane -> (text encoding that widens one character to it, array code)
-_LANE_FORMATS = {1: ("ascii", "B"), 2: ("utf-16-le", "H"), 4: ("utf-32-le", "I")}
+_LANE_FORMATS = {1: ("ascii", "B"), 2: ("utf-16-be", "H"), 4: ("utf-32-be", "I")}
 _ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _cell_values(planes: list[int], n: int) -> list[int]:
-    """Per-cell integers whose bit k is the cell's bit in ``planes[k]``.
+def cell_lanes(planes: Sequence[int], n: int, width: int = 1) -> bytes:
+    """n little-endian lanes of ``width`` bytes, lane i holding the integer
+    whose bit k is cell i's bit in ``planes[k]``.
 
     Each plane is written as one '0'/'1' character per cell, widened to a
-    1-, 2- or 4-byte lane by a text encoding and summed into one big int, so
-    the work is C-level and linear in n for each plane.
+    lane by a text encoding and summed into one big int, so the work is
+    C-level and linear in n for each plane.  The digits run from cell n - 1
+    down, as ``format`` writes them, and are read as a big-endian number,
+    which puts cell i in lane i without reversing the text.
     """
-    width = 1 if len(planes) <= 8 else 2 if len(planes) <= 16 else 4
-    encoding, code = _LANE_FORMATS[width]
+    encoding = _LANE_FORMATS[width][0]
     total = 0
     for k, plane in enumerate(planes):
-        digits = mask_text(plane, n).encode(encoding).translate(_ASCII_BIT)
-        total |= int.from_bytes(digits, "little") << k
-    values = array(code, total.to_bytes(n * width, "little"))
+        digits = format(plane, f"0{n}b").encode(encoding).translate(_ASCII_BIT)
+        total |= int.from_bytes(digits, "big") << k
+    return total.to_bytes(n * width, "little")
+
+
+def _cell_values(planes: Sequence[int], n: int) -> list[int]:
+    """Per-cell integers whose bit k is the cell's bit in ``planes[k]``."""
+    width = 1 if len(planes) <= 8 else 2 if len(planes) <= 16 else 4
+    values = array(_LANE_FORMATS[width][1], cell_lanes(planes, n, width))
     if sys.byteorder == "big":
         values.byteswap()
     return values.tolist()
@@ -199,40 +221,84 @@ def _cell_values(planes: list[int], n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PercolationTrace:
-    """Full history of one simulation plus per-cell audit quantities.
+    """Full history of one simulation, kept as bit planes of infection time.
 
-    ``infection_time[i]`` is None for never-infected cells, 0 for seeds.
-    ``neighbours_at_infection[i]`` counts neighbours infected strictly before
-    the cell turned (0 for seeds): simultaneous adjacent infections do not see
-    each other, which is exactly what the perfectness audit needs.  The trace
-    keeps those counts as three bit planes, ``count_planes`` (bit k of each
-    cell's count in plane k), and builds the per-cell tuple the first time it
-    is read.
+    A trace keeps ``time_planes`` (bit k of each infected cell's infection
+    time in plane k, 0 for seeds and for never-infected cells), the final
+    mask, the step count and ``adjacent_masks``: per direction (+z, +y, +x,
+    as an index offset), the non-seeds whose neighbour in that direction
+    turned at the same step.  Everything else per cell is derived from those
+    planes the first time it is read:
 
-    The audit masks: ``excess_mask`` holds the infected non-seeds whose count
-    is not 3, and ``adjacent_masks`` holds, per direction (+z, +y, +x, as an
-    index offset), the non-seeds whose neighbour in that direction turned at
-    the same step.
+    - ``count_planes``: bit k, per cell that turned, of how many neighbours
+      were infected strictly before it (seeds and never-infected cells 0):
+      simultaneous adjacent infections do not see each other, which is
+      exactly what the perfectness audit needs;
+    - ``excess_mask``: the cells that turned with a count other than 3;
+    - ``infection_time[i]``: None for never-infected cells, 0 for seeds;
+    - ``neighbours_at_infection[i]``: the count, None for never-infected
+      cells.
     """
 
     dims: GridDims
     r: int
     seeds: CellSet
-    infection_time: tuple[int | None, ...]
     percolated: bool
     steps_taken: int
     final_mask: int = field(repr=False)
-    count_planes: tuple[int, int, int] = field(repr=False)
-    excess_mask: int = field(repr=False)
+    time_planes: tuple[int, ...] = field(repr=False)
     adjacent_masks: tuple[tuple[int, int], ...] = field(repr=False)
 
     @cached_property
-    def neighbours_at_infection(self) -> tuple[int | None, ...]:
+    def count_planes(self) -> tuple[int, int, int]:
+        """``_sum6`` over the six neighbour directions of "neighbour infected
+        and its time below mine", each a bit-sliced compare of the time
+        planes, top plane first, against the same planes shifted from that
+        neighbour."""
+        shifts = _axis_shifts(self.dims)
+        final = self.final_mask
+        turned = final ^ self.seeds.mask
+        planes = self.time_planes[::-1]
+        earlier = []
+        for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
+            # each plane and the final mask as seen from the neighbour down
+            # the axis, then from the one up it
+            views = (
+                [(m & up) << shift for m in (final, *planes)],
+                [(m & down) >> shift for m in (final, *planes)],
+            )
+            for infected, *theirs in views:
+                # equal on every plane so far, and below at the first that differs
+                same = turned & infected
+                below = 0
+                for mine, other in zip(planes, theirs):
+                    first = same & (mine ^ other)
+                    below |= first & mine
+                    same ^= first
+                earlier.append(below)
+        return _sum6(*earlier)
+
+    @cached_property
+    def excess_mask(self) -> int:
+        c0, c1, c2 = self.count_planes
+        exactly_three = c0 & c1
+        exactly_three ^= exactly_three & c2
+        return self.final_mask ^ self.seeds.mask ^ exactly_three
+
+    def _per_cell(self, planes: Sequence[int]) -> tuple[int | None, ...]:
         n = self.dims.volume
-        counts: list[int | None] = _cell_values(list(self.count_planes), n)
+        values: list[int | None] = _cell_values(planes, n)
         for i in mask_indices(((1 << n) - 1) ^ self.final_mask):
-            counts[i] = None
-        return tuple(counts)
+            values[i] = None
+        return tuple(values)
+
+    @cached_property
+    def infection_time(self) -> tuple[int | None, ...]:
+        return self._per_cell(self.time_planes)
+
+    @cached_property
+    def neighbours_at_infection(self) -> tuple[int | None, ...]:
+        return self._per_cell(self.count_planes)
 
     @property
     def final(self) -> CellSet:
@@ -250,18 +316,18 @@ class PercolationTrace:
 
 
 def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = None) -> PercolationTrace:
-    """Run to the fixed point, recording infection times and audit counts.
+    """Run to the fixed point, recording infection times as bit planes.
 
     max_steps defaults to a*b*c, which always suffices: every productive step
     infects at least one cell.  Hitting max_steps before the fixed point
     raises SimulationTruncated rather than reporting a bogus fixed point.
 
     A step costs a fixed number of big-int operations, as in
-    ``fixed_point_mask``: the neighbour counts come from bit planes over the
-    previous mask, and the new cells are ORed into bit planes of their
-    infection time and of their count.  The infection times and the audit
-    masks are read off those planes once, at the end; the per-cell counts
-    only when the trace's ``neighbours_at_infection`` is read.
+    ``fixed_point_mask``: ``_count_planes`` and ``at_least`` over the
+    previous mask, then the new cells are ORed into the bit planes of their
+    infection time.  The same-step masks are read off those planes once, at
+    the end; counts and per-cell values only when the trace's properties
+    are read.
     """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
@@ -272,11 +338,9 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
 
     mask = seeds.mask
     time_planes: list[int] = []  # bit k of each cell's infection time
-    c0 = c1 = c2 = 0  # bits of each cell's count when it turned
     t = 0
     while True:
-        b0, b1, b2 = _count_planes(mask, shifts)
-        nxt = mask | at_least(r, (b0, b1, b2), full)
+        nxt = mask | at_least(r, _count_planes(mask, shifts), full)
         if nxt == mask:
             break
         if t >= limit:
@@ -288,18 +352,9 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         for k, plane in enumerate(time_planes):
             if t >> k & 1:
                 time_planes[k] = plane | new
-        c0 |= new & b0
-        c1 |= new & b1
-        c2 |= new & b2
         mask = nxt
 
-    times: list[int | None] = _cell_values(time_planes, n)
-    for i in mask_indices(full ^ mask):
-        times[i] = None
-
     turned = mask ^ seeds.mask
-    exactly_three = c0 & c1
-    exactly_three ^= exactly_three & c2
     adjacent = []
     for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
         if not up:
@@ -315,12 +370,10 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
         dims=dims,
         r=r,
         seeds=seeds,
-        infection_time=tuple(times),
         percolated=mask == full,
         steps_taken=t,
         final_mask=mask,
-        count_planes=(c0, c1, c2),
-        excess_mask=turned ^ exactly_three,
+        time_planes=tuple(time_planes),
         adjacent_masks=tuple(adjacent),
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .engine import PercolationTrace
+from .engine import PercolationTrace, cell_lanes
 from .grid import CellSet, GridDims, mask_text, text_mask, text_rows
 
 SEED_GLYPH = "X"
@@ -34,6 +34,8 @@ NEVER_GLYPH = "#"
 OVERFLOW_GLYPH = "+"
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+# a clamped time byte -> its glyph: 0 a seed, 36 and on '+', 63 never infected
+_TIME_GLYPHS = (SEED_GLYPH + _DIGITS[1:] + OVERFLOW_GLYPH * 27 + NEVER_GLYPH).encode().ljust(256)
 
 
 class ParseError(ValueError):
@@ -174,23 +176,33 @@ def write_record(
 
 
 def render_trace(trace: PercolationTrace) -> str:
-    """Trace as layered text with per-cell infection times."""
-    # time 0 marks exactly the seeds
-    glyphs = {None: NEVER_GLYPH, 0: SEED_GLYPH}
-    for t in range(1, trace.steps_taken + 1):
-        glyphs[t] = _DIGITS[t] if t < 36 else OVERFLOW_GLYPH
-    cells = "".join(map(glyphs.__getitem__, trace.infection_time))
+    """Trace as layered text with per-cell infection times.
+
+    Read off the trace's time planes as one byte per cell, clamped to six
+    bits: times from 36 on become 36 and never-infected cells 63, and one
+    ``bytes.translate`` maps each byte to its glyph.
+    """
+    n = trace.dims.volume
+    planes = (list(trace.time_planes) + [0] * 6)[:6]
+    over = 0  # time >= 36 = 0b100100: a bit past the sixth, or bit 5 and one of 2..4
+    for plane in trace.time_planes[6:]:
+        over |= plane
+    over |= planes[5] & (planes[2] | planes[3] | planes[4])
+    never = ((1 << n) - 1) ^ trace.final_mask
+    clamped = [
+        (plane | over if k in (2, 5) else plane ^ (plane & over)) | never
+        for k, plane in enumerate(planes)
+    ]
+    cells = cell_lanes(clamped, n).translate(_TIME_GLYPHS).decode("ascii")
     return _layered(cells, trace.dims)
 
 
 def strip_times(text: str) -> str:
-    """Reduce a rendered trace to plain seed text (X stays, all else to '.')."""
-    out_lines = []
-    for line in text.splitlines():
-        if line.strip() == "":
-            out_lines.append("")
-        else:
-            out_lines.append(
-                "".join(SEED_GLYPH if g == SEED_GLYPH else EMPTY_GLYPH for g in line)
-            )
-    return "\n".join(out_lines) + "\n"
+    """Reduce a rendered trace to plain seed text (X stays, all else to '.').
+
+    Whitespace-only lines become empty; the others are translated in one
+    pass over the joined text.
+    """
+    joined = "\n".join(line if line.strip() else "" for line in text.splitlines())
+    table = dict.fromkeys(map(ord, set(joined) - {SEED_GLYPH, "\n"}), EMPTY_GLYPH)
+    return joined.translate(table) + "\n"

@@ -155,6 +155,42 @@ def trace_brute(dims: GridDims, r: int, seeds: set) -> tuple[tuple, tuple]:
     return times, counts
 
 
+def render_brute(dims: GridDims, times: tuple) -> str:
+    """A rendered trace by per-cell glyph lookup, in ``dims.cells()`` order of
+    ``times``: X for a seed, the time's base-36 digit up to 35, + from 36 on,
+    # for never infected; rows of c glyphs, layers of b rows, a blank line
+    between layers."""
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+    def glyph(t):
+        if t is None:
+            return "#"
+        if t == 0:
+            return "X"
+        return digits[t] if t < 36 else "+"
+
+    layers = []
+    for x in range(1, dims.a + 1):
+        rows = [
+            "".join(glyph(times[dims.index((x, y, z))]) for z in range(1, dims.c + 1))
+            for y in range(1, dims.b + 1)
+        ]
+        layers.append("\n".join(rows))
+    return "\n\n".join(layers) + "\n"
+
+
+def strip_times_brute(text: str) -> str:
+    """A rendered trace back to seed text, line by line and glyph by glyph:
+    whitespace-only lines become empty, X stays, every other glyph becomes '.'."""
+    out_lines = []
+    for line in text.splitlines():
+        if line.strip() == "":
+            out_lines.append("")
+        else:
+            out_lines.append("".join("X" if g == "X" else "." for g in line))
+    return "\n".join(out_lines) + "\n"
+
+
 def audit_lists_brute(dims: GridDims, times: tuple, counts: tuple) -> tuple[list, list]:
     """The perfectness audit's cell lists by per-cell scanning.
 

@@ -1,9 +1,9 @@
-"""One simulation per classified set, and per-cell counts built only when read.
+"""One simulation per classified set, and per-cell values built only when read.
 
 A ``Classification`` reads its status off its trace when the trace is read
 first, and off the untraced fixed point otherwise; a ``PercolationTrace``
-keeps its neighbour counts as bit planes until ``neighbours_at_infection``
-is read.  These tests hold both orders to each other and to
+keeps its infection times as bit planes until ``infection_time`` or
+``neighbours_at_infection`` is read.  These tests hold both orders to each other and to
 ``tests/oracle.py``.
 """
 
@@ -70,3 +70,18 @@ def test_neighbour_counts_are_built_only_when_read(grid):
     assert trace.neighbours_at_infection == counts
     assert trace.neighbours_at_infection is trace.neighbours_at_infection
 
+
+
+@PROPERTY
+@given(seeded_grids())
+def test_verify_path_builds_no_per_cell_tuples(grid):
+    dims, seeds = grid
+    trace = percolate(dims, 3, seeds)
+    perfect_audit(trace, seeds)
+    render_trace(trace)
+    assert "infection_time" not in trace.__dict__
+    assert "neighbours_at_infection" not in trace.__dict__
+    extract_milestones(trace, [Region.full(dims), Region.layer(1)])
+    assert "infection_time" in trace.__dict__
+    times, _ = trace_brute(dims, 3, set(seeds.cells()))
+    assert trace.infection_time == times
