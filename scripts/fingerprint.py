@@ -22,7 +22,10 @@ gave the same results.  The document holds:
 - every built-in catalog entry under each of the 48 box isometries;
 - ``thickness1_entry(k)`` for k = 1..9;
 - ``render_trace`` of runs longer than any verify input: paths 1x1x300 at
-  r = 1 and 2 and 1x1x40 at r = 1, each seeded at one end.
+  r = 1 and 2 and 1x1x40 at r = 1, each seeded at one end;
+- ``render_trace`` of runs whose fronts turn narrow enough for ``percolate``
+  to step cell by cell: the 1x255x255 thickness-1 doubling at r = 3, and
+  1x127x127 at r = 1 seeded in one corner.
 
 Masks are written in hex.  Takes about 20 s on a 2-vCPU VM.
 
@@ -44,6 +47,8 @@ PLAN_MAX_SIDE = 30
 FAMILY_MAX_COPIES = 20
 THICKNESS1_MAX_K = 9
 LONG_TRACES = ((300, 1), (300, 2), (40, 1))  # (path length, r), seeded at one end
+NARROW_DOUBLING_K = 8  # the 1x255x255 doubling
+NARROW_SEEDED_SIDE = 127  # 1xNxN at r = 1 from one corner
 
 
 def _mask(cset) -> str | None:
@@ -127,6 +132,16 @@ def long_traces(gp) -> list:
     return out
 
 
+def narrow_traces(gp) -> list:
+    """Renders of runs stepped partly cell by cell."""
+    doubling = gp.thickness1_entry(NARROW_DOUBLING_K).seeds
+    corner = gp.GridDims(1, NARROW_SEEDED_SIDE, NARROW_SEEDED_SIDE)
+    return [
+        gp.render_trace(gp.percolate(doubling.dims, 3, doubling)),
+        gp.render_trace(gp.percolate(corner, 1, gp.CellSet(corner, 1))),
+    ]
+
+
 def families(gp) -> dict:
     """Each pattern's instances and the pattern cut back out of its minimal one."""
     out = {}
@@ -174,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "orientations": orientations(gp),
         "thickness1": [_mask(gp.thickness1_entry(k).seeds) for k in range(1, THICKNESS1_MAX_K + 1)],
         "long_traces": long_traces(gp),
+        "narrow_traces": narrow_traces(gp),
     }
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     Path(args.out).write_bytes(data)

@@ -23,10 +23,17 @@ infected neighbours of the uninfected cells, each count saturated at r - 1,
 add up to the grid edges with exactly one end infected: ``cut_count_mask``.
 
 A traced run (``percolate``) keeps only bit planes of each cell's infection
-time, ORing each step's new cells into them.  A trace derives the rest on
-first read: the counts of neighbours infected strictly earlier, by a
-bit-sliced compare of the time planes with their neighbours' and the same
-adders, and the per-cell tuples by widening the planes to byte lanes.
+time, ORing each step's new cells into them.  It steps in one of two modes,
+picked by the width of the front, the cells infected in the last step.  A
+wide front takes the bitset step above, whose cost is the grid's size.  A
+front of at most volume >> 12 cells, such as the few cells a thickness-1
+doubling infects per step for most of its run, steps cell by cell: each
+front cell adds one to its uninfected neighbours' counts, which start from
+the bitset counts taken on entering.  The run switches back to bitset steps
+when the front widens again.  A trace derives the rest on first read: the counts of
+neighbours infected strictly earlier, by a bit-sliced compare of the time
+planes with their neighbours' and the same adders, and the per-cell tuples
+by widening the planes to byte lanes.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .grid import CellSet, GridDims, GridError, mask_indices, text_mask
+from .grid import CellSet, GridDims, GridError, mask_indices, mask_of_indices, text_mask
 
 
 class SimulationTruncated(RuntimeError):
@@ -315,6 +322,75 @@ class PercolationTrace:
         return tuple(frames)
 
 
+# A front of at most volume >> _NARROW_SHIFT cells steps cell by cell.
+_NARROW_SHIFT = 12
+
+
+def _cell_steps(
+    dims: GridDims, r: int, flags: bytearray, known: Sequence[bytes], front: list[int], t: int, limit: int
+) -> list[list[int]]:
+    """Steps t + 1, t + 2, ... one front cell at a time, from ``front``, the
+    cells infected at step t; returns the fronts of the steps taken.
+
+    Bit i of ``flags``, little-endian bytes like ``int.to_bytes``, is set
+    once cell i is infected.  Bit i of ``known[k]`` is bit k of cell i's
+    count of infected neighbours outside the front, enough bits for every
+    uninfected cell's count, which is below r.  Each front cell adds one to
+    the count of every uninfected neighbour, read from ``known`` on first
+    touch; a count that reaches r puts its cell in the next front.  A
+    neighbour past the grid's edge is replaced by the front cell itself,
+    which is infected.  Stops after a front wider than volume >>
+    ``_NARROW_SHIFT`` cells, left to the bitset step, or when no cell turns;
+    raises SimulationTruncated like ``percolate`` when a step past ``limit``
+    would infect a cell.
+    """
+    n = dims.volume
+    c = dims.c
+    bc = dims.b * c
+    narrow = n >> _NARROW_SHIFT
+    top_z, top_y, top_x = c - 1, bc - c, n - bc
+    counts: dict[int, int] = {}
+    fronts = []
+    while True:
+        nxt = []
+        for i in front:
+            z = i % c
+            yz = i % bc
+            for j in (
+                i - 1 if z else i,
+                i + 1 if z < top_z else i,
+                i - c if yz >= c else i,
+                i + c if yz < top_y else i,
+                i - bc if i >= bc else i,
+                i + bc if i < top_x else i,
+            ):
+                q = j >> 3
+                bit = 1 << (j & 7)
+                if flags[q] & bit:
+                    continue
+                v = counts.get(j)
+                if v is None:
+                    v = 0
+                    for k, plane in enumerate(known):
+                        if plane[q] & bit:
+                            v |= 1 << k
+                v += 1
+                if v == r:
+                    flags[q] |= bit
+                    nxt.append(j)
+                else:
+                    counts[j] = v
+        if not nxt:
+            return fronts
+        if t >= limit:
+            raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
+        t += 1
+        fronts.append(nxt)
+        if len(nxt) > narrow:
+            return fronts
+        front = nxt
+
+
 def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = None) -> PercolationTrace:
     """Run to the fixed point, recording infection times as bit planes.
 
@@ -322,37 +398,97 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     infects at least one cell.  Hitting max_steps before the fixed point
     raises SimulationTruncated rather than reporting a bogus fixed point.
 
-    A step costs a fixed number of big-int operations, as in
-    ``fixed_point_mask``: ``_count_planes`` and ``at_least`` over the
-    previous mask, then the new cells are ORed into the bit planes of their
-    infection time.  The same-step masks are read off those planes once, at
-    the end; counts and per-cell values only when the trace's properties
-    are read.
+    Each step picks its mode by the width of the front, the cells infected
+    in the last step (the seeds before the first):
+
+    - a front of more than volume >> ``_NARROW_SHIFT`` cells takes a bitset
+      step over the whole grid, a fixed number of big-int operations as in
+      ``fixed_point_mask``: at r = 3 "at least 3" read off two full adders,
+      otherwise ``_count_planes`` and ``at_least``.  Its new cells are ORed
+      into the bit planes of their infection time;
+    - a narrower front steps cell by cell (``_cell_steps``) until the front
+      widens again or no cell turns.  On entering, the infected mask and
+      the low bit planes of ``_count_planes`` become byte strings, so a
+      cell's flag and count are read in constant time; on leaving, the mask
+      is read back from the flags.
+
+    Counting a front's cells costs about a quarter of a bitset step, so a
+    run of bitset steps counts it only every 32nd step, and a narrow mode
+    starts up to 31 steps late.  Where the mode is entered does not change
+    the trace, only the time it takes.  At r <= 0 every cell turns in the
+    first step however narrow the seeds, so there is no narrow mode.
+
+    The cell-by-cell steps' infection times are ORed into the time planes
+    once, at the end, and the same-step masks are read off those planes;
+    counts and per-cell values only when the trace's properties are read.
     """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
     n = dims.volume
     limit = n if max_steps is None else max_steps
     shifts = _axis_shifts(dims)
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
     full = (1 << n) - 1
+    narrow = n >> _NARROW_SHIFT if r > 0 else 0
 
     mask = seeds.mask
+    front = mask
     time_planes: list[int] = []  # bit k of each cell's infection time
+    cell_fronts: list[tuple[int, list[int]]] = []  # (time, cells) of the steps taken cell by cell
     t = 0
     while True:
-        nxt = mask | at_least(r, _count_planes(mask, shifts), full)
+        if narrow and t & 31 == 0 and 0 < front.bit_count() <= narrow:
+            size = (n + 7) >> 3
+            flags = bytearray(mask.to_bytes(size, "little"))
+            # an uninfected cell's count is below r: its low bits suffice
+            planes = _count_planes(mask ^ front, shifts)[:(r - 1).bit_length()]
+            known = [plane.to_bytes(size, "little") for plane in planes]
+            fronts = _cell_steps(dims, r, flags, known, mask_indices(front), t, limit)
+            cell_fronts += enumerate(fronts, t + 1)
+            t += len(fronts)
+            time_planes += [0] * (t.bit_length() - len(time_planes))
+            mask = int.from_bytes(flags, "little")
+            if not fronts or len(fronts[-1]) <= narrow:
+                break  # no cell turned
+        if r == 3:
+            z0 = (mask & zup) << sz
+            z1 = (mask & zdown) >> sz
+            y0 = (mask & yup) << sy
+            y1 = (mask & ydown) >> sy
+            x0 = (mask & xup) << sx
+            x1 = mask >> sx
+            p = z0 ^ z1
+            s1 = p ^ y0
+            c1 = z0 & z1 | p & y0
+            q = y1 ^ x0
+            s2 = q ^ x1
+            c2 = y1 & x0 | q & x1
+            nxt = mask | c1 & c2 | (c1 | c2) & (s1 | s2)
+        else:
+            nxt = mask | at_least(r, _count_planes(mask, shifts), full)
         if nxt == mask:
             break
         if t >= limit:
             raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
         t += 1
-        new = nxt ^ mask
+        front = nxt ^ mask
         if t & (t - 1) == 0:
             time_planes.append(0)
         for k, plane in enumerate(time_planes):
             if t >> k & 1:
-                time_planes[k] = plane | new
+                time_planes[k] = plane | front
         mask = nxt
+
+    if cell_fronts:
+        # per time plane, the cells stepped cell by cell with that bit set
+        turned_at: list[list[int]] = [[] for _ in time_planes]
+        for s, cells in cell_fronts:
+            for k, plane_cells in enumerate(turned_at):
+                if s >> k & 1:
+                    plane_cells += cells
+        time_planes = [
+            plane | mask_of_indices(n, cells) if cells else plane for plane, cells in zip(time_planes, turned_at)
+        ]
 
     turned = mask ^ seeds.mask
     adjacent = []

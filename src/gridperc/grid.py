@@ -67,8 +67,9 @@ def text_rows(text: str, width: int) -> list[str]:
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
-def _mask_of(volume: int, indices: Iterable[int]) -> int:
-    """Bitset of in-range indices, set in a byte buffer (linear in volume)."""
+def mask_of_indices(volume: int, indices: Iterable[int]) -> int:
+    """Bitset of in-range indices, set in a byte buffer (linear in volume):
+    the inverse of ``mask_indices``."""
     buf = bytearray((volume + 7) >> 3)
     for i in indices:
         buf[i >> 3] |= 1 << (i & 7)
@@ -178,7 +179,7 @@ class CellSet:
 
     @staticmethod
     def from_cells(dims: GridDims, cells: Iterable[Cell]) -> "CellSet":
-        return CellSet(dims, _mask_of(dims.volume, map(dims.index, cells)))
+        return CellSet(dims, mask_of_indices(dims.volume, map(dims.index, cells)))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

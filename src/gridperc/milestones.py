@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import PercolationTrace
-from .grid import CELL_CAP, Cell, GridDims
+from .grid import CELL_CAP, Cell, GridDims, text_mask
 
 RegionPredicate = Callable[[Cell], bool]
 
@@ -24,8 +24,9 @@ class Region:
     """A named set of cells given by a membership predicate.
 
     A box region also carries its inclusive corners (lo, hi), which may reach
-    past the grid; extraction then reads it as index slices, clipped to the
-    grid, instead of asking the predicate cell by cell.
+    past the grid; extraction then reads it as a bitset, clipped to the
+    grid, against the trace's time planes instead of asking the predicate
+    cell by cell.
     """
 
     name: str
@@ -61,24 +62,48 @@ class Milestone:
 
 
 def extract_milestones(trace: PercolationTrace, regions: Sequence[Region]) -> list[Milestone]:
-    """Completion time per region, ordered by time (incomplete regions last)."""
+    """Completion time per region, ordered by time (incomplete regions last).
+
+    A box region is read off the trace's bit planes: it is incomplete if it
+    meets a never-infected cell, and otherwise completes at the largest
+    time in it, taken plane by plane from the top.  A predicate region is
+    walked cell by cell over ``infection_time``.
+    """
     out = []
     for region in regions:
         if region.corners is None:
             inside = region.predicate
-            runs = [[t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]]
+            run = [t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]
+            time = None if None in run else max(run, default=0)
         else:
-            times = trace.infection_time
-            runs = [times[start:stop] for start, stop in _box_runs(trace.dims, region.corners)]
-        time = 0
-        for run in runs:
-            if None in run:
-                time = None
-                break
-            time = max(time, max(run, default=0))
+            box = _box_mask(trace.dims, region.corners)
+            time = None if box & ~trace.final_mask else _max_time(trace.time_planes, box)
         out.append(Milestone(region.name, time))
     out.sort(key=lambda m: (m.time is None, m.time if m.time is not None else 0))
     return out
+
+
+def _max_time(time_planes: Sequence[int], cells: int) -> int:
+    """The largest time among ``cells``, bit k in ``time_planes[k]``: from the
+    top plane down, keep the cells with the bit set whenever any has it."""
+    time = 0
+    for k in range(len(time_planes) - 1, -1, -1):
+        high = cells & time_planes[k]
+        if high:
+            time |= 1 << k
+            cells = high
+    return time
+
+
+def _box_mask(dims: GridDims, corners: tuple[Cell, Cell]) -> int:
+    """The bitset of the cells between corners, clipped to the grid, from
+    the '0'/'1' text of its rows."""
+    pieces = []
+    at = 0
+    for start, stop in _box_runs(dims, corners):
+        pieces += ("0" * (start - at), "1" * (stop - start))
+        at = stop
+    return text_mask("".join(pieces) or "0")
 
 
 def _box_runs(dims: GridDims, corners: tuple[Cell, Cell]) -> list[tuple[int, int]]:

@@ -3,9 +3,10 @@
 Everything here works on explicit (x, y, z) coordinates and Python sets; no
 bitsets, no shift tricks.  Deliberately slow and obvious.  The exceptions are
 ``step``, the engine's ``step_mask`` on a cell set, which the engine tests
-compare against ``step_brute``, and the small helpers after it that only the
+compare against ``step_brute``, the small helpers after it that only the
 tests call (``count_planes``, ``from_indices``, ``issubset``, ``time_of``,
-``verify_all``).
+``verify_all``), and ``percolate_bitset``, the traced engine with every step
+taken over the whole grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from pathlib import Path
 
 from gridperc.bounds import Status
 from gridperc.catalog import Catalog
-from gridperc.engine import PercolationTrace, _axis_shifts, _count_planes, step_mask
+from gridperc.engine import (
+    PercolationTrace,
+    SimulationTruncated,
+    _axis_shifts,
+    _count_planes,
+    at_least,
+    step_mask,
+)
 from gridperc.grid import CellSet, GridDims, GridError, embed, neighbours
 
 _BUILD_FAMILIES = Path(__file__).resolve().parent.parent / "scripts" / "build_families.py"
@@ -84,6 +92,57 @@ def issubset(inner: CellSet, outer: CellSet) -> bool:
 def time_of(trace: PercolationTrace, cell) -> int | None:
     """Infection time of one cell: None if never infected, 0 for a seed."""
     return trace.infection_time[trace.dims.index(cell)]
+
+
+def percolate_bitset(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = None) -> PercolationTrace:
+    """``engine.percolate`` with every step a bitset step over the whole grid,
+    whatever the width of the front: ``_count_planes`` and ``at_least`` over
+    the previous mask, the new cells ORed into the bit planes of their
+    infection time."""
+    n = dims.volume
+    limit = n if max_steps is None else max_steps
+    shifts = _axis_shifts(dims)
+    full = (1 << n) - 1
+
+    mask = seeds.mask
+    time_planes: list[int] = []
+    t = 0
+    while True:
+        nxt = mask | at_least(r, _count_planes(mask, shifts), full)
+        if nxt == mask:
+            break
+        if t >= limit:
+            raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
+        t += 1
+        new = nxt ^ mask
+        if t & (t - 1) == 0:
+            time_planes.append(0)
+        for k, plane in enumerate(time_planes):
+            if t >> k & 1:
+                time_planes[k] = plane | new
+        mask = nxt
+
+    turned = mask ^ seeds.mask
+    adjacent = []
+    for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
+        if not up:
+            continue
+        both = turned & (turned & down) >> shift
+        differ = 0
+        for plane in time_planes:
+            differ |= plane ^ (plane >> shift)
+        adjacent.append((shift, both ^ (both & differ)))
+
+    return PercolationTrace(
+        dims=dims,
+        r=r,
+        seeds=seeds,
+        percolated=mask == full,
+        steps_taken=t,
+        final_mask=mask,
+        time_planes=tuple(time_planes),
+        adjacent_masks=tuple(adjacent),
+    )
 
 
 def verify_all(catalog: Catalog) -> None:

@@ -82,6 +82,6 @@ def test_verify_path_builds_no_per_cell_tuples(grid):
     assert "infection_time" not in trace.__dict__
     assert "neighbours_at_infection" not in trace.__dict__
     extract_milestones(trace, [Region.full(dims), Region.layer(1)])
-    assert "infection_time" in trace.__dict__
+    assert "infection_time" not in trace.__dict__
     times, _ = trace_brute(dims, 3, set(seeds.cells()))
     assert trace.infection_time == times
