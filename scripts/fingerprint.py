@@ -27,6 +27,13 @@ gave the same results.  The document holds:
   to step cell by cell: the 1x255x255 thickness-1 doubling at r = 3, and
   1x127x127 at r = 1 seeded in one corner.
 
+Prints the hash of that document, then, as ``extended``, the hash of the
+document written, which adds under ``extended``:
+
+- per ``verify`` family input at seeds 1 and 2, the milestone of a
+  predicate region, the cells with an even coordinate sum;
+- the two narrow runs above rendered at r = 8, where no cell turns.
+
 Masks are written in hex.  Takes about 20 s on a 2-vCPU VM.
 
 Usage: python scripts/fingerprint.py [--src PATH] [--out PATH]
@@ -123,6 +130,18 @@ def verifies(gp, workload, seed: int) -> list:
     return out
 
 
+def parity_milestones(gp, workload, seed: int) -> list:
+    """The even-coordinate-sum milestone of every family verify input."""
+    even = gp.Region("even cells", lambda cell: sum(cell) % 2 == 0)
+    out = []
+    for req in workload.make_inputs(seed):
+        if req["family"]:
+            dims, seeds = gp.parse_set(req["text"])
+            [milestone] = gp.extract_milestones(gp.percolate(dims, 3, seeds), [even])
+            out.append([req["label"], milestone.time])
+    return out
+
+
 def long_traces(gp) -> list:
     """Renders whose times pass 35, 63 and 255, and one that never spreads."""
     out = []
@@ -132,13 +151,14 @@ def long_traces(gp) -> list:
     return out
 
 
-def narrow_traces(gp) -> list:
-    """Renders of runs stepped partly cell by cell."""
+def narrow_traces(gp, doubling_r: int = 3, corner_r: int = 1) -> list:
+    """Renders of the runs whose fronts turn narrow at r = 3 and 1: the
+    doubling at ``doubling_r``, the corner seed at ``corner_r``."""
     doubling = gp.thickness1_entry(NARROW_DOUBLING_K).seeds
     corner = gp.GridDims(1, NARROW_SEEDED_SIDE, NARROW_SEEDED_SIDE)
     return [
-        gp.render_trace(gp.percolate(doubling.dims, 3, doubling)),
-        gp.render_trace(gp.percolate(corner, 1, gp.CellSet(corner, 1))),
+        gp.render_trace(gp.percolate(doubling.dims, doubling_r, doubling)),
+        gp.render_trace(gp.percolate(corner, corner_r, gp.CellSet(corner, 1))),
     ]
 
 
@@ -191,9 +211,15 @@ def main(argv: list[str] | None = None) -> int:
         "long_traces": long_traces(gp),
         "narrow_traces": narrow_traces(gp),
     }
+    base = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    doc["extended"] = {
+        "parity_milestones": {seed: parity_milestones(gp, w["verify"], seed) for seed in SEEDS},
+        "narrow_traces_r8": narrow_traces(gp, 8, 8),
+    }
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     Path(args.out).write_bytes(data)
-    print(hashlib.sha256(data).hexdigest())
+    print(hashlib.sha256(base).hexdigest())
+    print(hashlib.sha256(data).hexdigest(), "extended")
     return 0
 
 

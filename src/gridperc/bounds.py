@@ -164,8 +164,8 @@ def perfect_audit(trace: PercolationTrace, seeds: CellSet) -> AuditReport:
     """Check the three equality conditions on a finished r=3 trace.
 
     Each condition is a test on a mask: the seeds' internal edges, and the
-    excess and same-step masks the trace keeps; the cell lists are built only
-    for a condition that fails.
+    excess and same-step masks the trace derives from its time planes; the
+    cell lists are built only for a condition that fails.
     """
     independent = degree_pair_sum(trace.dims, seeds) == 0
     excess = mask_indices(trace.excess_mask)

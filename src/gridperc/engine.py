@@ -5,9 +5,9 @@ neighbours; infection is permanent.  The engine works on int bitsets: the six
 axis neighbours of every cell are reached with two shifts per axis, and the
 neighbour counts of all cells are three bit planes filled by three full
 adders, so a step costs a few dozen big-int operations regardless of grid
-size.  At r = 3, the paper's threshold, the status-only fixed point needs
-only the first two adders: "at least 3 of 6" is read off their sums and
-carries.
+size.  Every bitset step is taken by one loop, ``_run``; at r = 3, the
+paper's threshold, it needs only the first two adders: "at least 3 of 6" is
+read off their sums and carries.
 
 A grid's shift table holds, per axis z, y, x, ``(shift, down, up)``: the index
 step along the axis, the cells with a neighbour one step down it and those
@@ -25,15 +25,16 @@ add up to the grid edges with exactly one end infected: ``cut_count_mask``.
 A traced run (``percolate``) keeps only bit planes of each cell's infection
 time, ORing each step's new cells into them.  It steps in one of two modes,
 picked by the width of the front, the cells infected in the last step.  A
-wide front takes the bitset step above, whose cost is the grid's size.  A
-front of at most volume >> 12 cells, such as the few cells a thickness-1
-doubling infects per step for most of its run, steps cell by cell: each
-front cell adds one to its uninfected neighbours' counts, which start from
-the bitset counts taken on entering.  The run switches back to bitset steps
-when the front widens again.  A trace derives the rest on first read: the counts of
-neighbours infected strictly earlier, by a bit-sliced compare of the time
-planes with their neighbours' and the same adders, and the per-cell tuples
-by widening the planes to byte lanes.
+wide front takes one ``_run`` step, whose cost is the grid's size.  A front
+of at most volume >> 12 cells, such as the few cells a thickness-1 doubling
+infects per step for most of its run, steps cell by cell: each front cell
+adds one to its uninfected neighbours' counts, which start from the bitset
+counts taken on entering.  The run switches back to bitset steps when the
+front widens again.  A trace derives the rest on first read, all from one
+bit-sliced compare of the time planes with their neighbours': the counts of
+neighbours infected strictly earlier, summed by the same adders, the pairs
+of neighbours that turned at the same step, and the per-cell tuples, by
+widening the planes to byte lanes.
 """
 
 from __future__ import annotations
@@ -149,27 +150,19 @@ def at_least(r: int, planes: tuple[int, int, int], full: int) -> int:
     return b2 & ge if r & 4 else b2 | ge
 
 
-def step_mask(dims: GridDims, r: int, mask: int) -> int:
-    """One synchronous step on a raw bitset."""
-    return mask | at_least(r, _count_planes(mask, _axis_shifts(dims)), (1 << dims.volume) - 1)
+def _run(mask: int, r: int, shifts: tuple[int, ...], full: int, limit: int) -> tuple[int, int]:
+    """At most ``limit`` productive steps from ``mask``, fewer only at the
+    fixed point; returns (mask, steps taken).
 
-
-def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = None) -> tuple[int, int]:
-    """Iterate to the fixed point; returns (final mask, steps taken).
-
-    Raises SimulationTruncated if max_steps productive steps do not reach it.
     At r = 3 a step is the shifts of ``_count_planes`` and the two full
     adders of ``_sum6`` written out in place, and "at least 3 of 6" is read
     straight off their sums s1, s2 and carries c1, c2: two carries make at
-    least 4, one carry and a sum at least 3.  That is a few dozen big-int operations and no
-    call.  Every other r steps by ``step_mask``.
+    least 4, one carry and a sum at least 3, with no call.  Every other r
+    takes ``at_least`` of the count planes, which admits none at r >= 8.
     """
-    if r >= 8:
-        return mask, 0  # a count is at most 6: no cell ever turns
-    limit = dims.volume if max_steps is None else max_steps
-    sz, zdown, zup, sy, ydown, yup, sx, _, xup = _axis_shifts(dims)
+    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
     steps = 0
-    while True:
+    while steps < limit:
         if r == 3:
             z0 = (mask & zup) << sz
             z1 = (mask & zdown) >> sz
@@ -185,13 +178,33 @@ def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = 
             c2 = y1 & x0 | q & x1
             nxt = mask | c1 & c2 | (c1 | c2) & (s1 | s2)
         else:
-            nxt = step_mask(dims, r, mask)
+            nxt = mask | at_least(r, _count_planes(mask, shifts), full)
         if nxt == mask:
-            return mask, steps
-        if steps >= limit:
-            raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
+            break
         mask = nxt
         steps += 1
+    return mask, steps
+
+
+def step_mask(dims: GridDims, r: int, mask: int) -> int:
+    """One synchronous step on a raw bitset."""
+    return _run(mask, r, _axis_shifts(dims), (1 << dims.volume) - 1, 1)[0]
+
+
+def fixed_point_mask(dims: GridDims, r: int, mask: int, max_steps: int | None = None) -> tuple[int, int]:
+    """Iterate to the fixed point; returns (final mask, steps taken).
+
+    One ``_run`` of up to max_steps + 1 steps (default a*b*c, which always
+    suffices); taking the last raises SimulationTruncated.  A negative
+    max_steps stops as 0 does.
+    """
+    n = dims.volume
+    limit = n if max_steps is None else max_steps
+    cap = limit if limit > 0 else 0
+    mask, steps = _run(mask, r, _axis_shifts(dims), (1 << n) - 1, cap + 1)
+    if steps > cap:
+        raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
+    return mask, steps
 
 
 # byte width of a lane -> (text encoding that widens one character to it, array code)
@@ -230,17 +243,18 @@ def _cell_values(planes: Sequence[int], n: int) -> list[int]:
 class PercolationTrace:
     """Full history of one simulation, kept as bit planes of infection time.
 
-    A trace keeps ``time_planes`` (bit k of each infected cell's infection
-    time in plane k, 0 for seeds and for never-infected cells), the final
-    mask, the step count and ``adjacent_masks``: per direction (+z, +y, +x,
-    as an index offset), the non-seeds whose neighbour in that direction
-    turned at the same step.  Everything else per cell is derived from those
-    planes the first time it is read:
+    A trace holds only what the run produced: the seeds, the step count, the
+    final mask and ``time_planes``, bit k of each infected cell's infection
+    time in plane k (0 for seeds and for never-infected cells).  Everything
+    else per cell is derived from the planes the first time it is read:
 
     - ``count_planes``: bit k, per cell that turned, of how many neighbours
       were infected strictly before it (seeds and never-infected cells 0):
       simultaneous adjacent infections do not see each other, which is
       exactly what the perfectness audit needs;
+    - ``adjacent_masks``: per axis of length above 1 (+z, +y, +x), the
+      index step up it and the cells that turned at the same step as their
+      neighbour there;
     - ``excess_mask``: the cells that turned with a count other than 3;
     - ``infection_time[i]``: None for never-infected cells, 0 for seeds;
     - ``neighbours_at_infection[i]``: the count, None for never-infected
@@ -250,23 +264,28 @@ class PercolationTrace:
     dims: GridDims
     r: int
     seeds: CellSet
-    percolated: bool
     steps_taken: int
     final_mask: int = field(repr=False)
     time_planes: tuple[int, ...] = field(repr=False)
-    adjacent_masks: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @property
+    def percolated(self) -> bool:
+        """Whether the final mask is the whole grid."""
+        return self.final_mask == (1 << self.dims.volume) - 1
 
     @cached_property
-    def count_planes(self) -> tuple[int, int, int]:
-        """``_sum6`` over the six neighbour directions of "neighbour infected
-        and its time below mine", each a bit-sliced compare of the time
-        planes, top plane first, against the same planes shifted from that
-        neighbour."""
+    def _compared(self) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+        """Per neighbour direction, the turned cells whose neighbour there
+        was infected earlier: a bit-sliced compare of the time planes, top
+        plane first, with that neighbour's.  Per axis, the cells the compare
+        with the neighbour up it leaves equal on every plane turned at the
+        same step as it; a seed's time 0 is below every turned cell's."""
         shifts = _axis_shifts(self.dims)
         final = self.final_mask
         turned = final ^ self.seeds.mask
         planes = self.time_planes[::-1]
         earlier = []
+        adjacent = []
         for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
             # each plane and the final mask as seen from the neighbour down
             # the axis, then from the one up it
@@ -283,7 +302,18 @@ class PercolationTrace:
                     below |= first & mine
                     same ^= first
                 earlier.append(below)
-        return _sum6(*earlier)
+            if up:  # not a length-1 axis
+                adjacent.append((shift, same))
+        return earlier, tuple(adjacent)
+
+    @property
+    def count_planes(self) -> tuple[int, int, int]:
+        """``_sum6`` of the six "neighbour infected earlier" masks."""
+        return _sum6(*self._compared[0])
+
+    @property
+    def adjacent_masks(self) -> tuple[tuple[int, int], ...]:
+        return self._compared[1]
 
     @cached_property
     def excess_mask(self) -> int:
@@ -401,11 +431,10 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     Each step picks its mode by the width of the front, the cells infected
     in the last step (the seeds before the first):
 
-    - a front of more than volume >> ``_NARROW_SHIFT`` cells takes a bitset
-      step over the whole grid, a fixed number of big-int operations as in
-      ``fixed_point_mask``: at r = 3 "at least 3" read off two full adders,
-      otherwise ``_count_planes`` and ``at_least``.  Its new cells are ORed
-      into the bit planes of their infection time;
+    - a front of more than volume >> ``_NARROW_SHIFT`` cells takes one
+      ``_run`` step over the whole grid, the bitset step of
+      ``fixed_point_mask``, a fixed number of big-int operations.  Its new
+      cells are ORed into the bit planes of their infection time;
     - a narrower front steps cell by cell (``_cell_steps``) until the front
       widens again or no cell turns.  On entering, the infected mask and
       the low bit planes of ``_count_planes`` become byte strings, so a
@@ -419,15 +448,14 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
     first step however narrow the seeds, so there is no narrow mode.
 
     The cell-by-cell steps' infection times are ORed into the time planes
-    once, at the end, and the same-step masks are read off those planes;
-    counts and per-cell values only when the trace's properties are read.
+    once, at the end; counts, same-step masks and per-cell values are
+    derived only when the trace's properties are read.
     """
     if seeds.dims != dims:
         raise GridError("seed set belongs to a different grid")
     n = dims.volume
     limit = n if max_steps is None else max_steps
     shifts = _axis_shifts(dims)
-    sz, zdown, zup, sy, ydown, yup, sx, _, xup = shifts
     full = (1 << n) - 1
     narrow = n >> _NARROW_SHIFT if r > 0 else 0
 
@@ -450,23 +478,8 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
             mask = int.from_bytes(flags, "little")
             if not fronts or len(fronts[-1]) <= narrow:
                 break  # no cell turned
-        if r == 3:
-            z0 = (mask & zup) << sz
-            z1 = (mask & zdown) >> sz
-            y0 = (mask & yup) << sy
-            y1 = (mask & ydown) >> sy
-            x0 = (mask & xup) << sx
-            x1 = mask >> sx
-            p = z0 ^ z1
-            s1 = p ^ y0
-            c1 = z0 & z1 | p & y0
-            q = y1 ^ x0
-            s2 = q ^ x1
-            c2 = y1 & x0 | q & x1
-            nxt = mask | c1 & c2 | (c1 | c2) & (s1 | s2)
-        else:
-            nxt = mask | at_least(r, _count_planes(mask, shifts), full)
-        if nxt == mask:
+        nxt, stepped = _run(mask, r, shifts, full, 1)
+        if not stepped:
             break
         if t >= limit:
             raise SimulationTruncated(f"no fixed point within {limit} steps on {dims}")
@@ -490,27 +503,13 @@ def percolate(dims: GridDims, r: int, seeds: CellSet, max_steps: int | None = No
             plane | mask_of_indices(n, cells) if cells else plane for plane, cells in zip(time_planes, turned_at)
         ]
 
-    turned = mask ^ seeds.mask
-    adjacent = []
-    for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
-        if not up:
-            continue  # a length-1 axis
-        # non-seed pairs one step of shift apart whose time planes all agree
-        both = turned & (turned & down) >> shift
-        differ = 0
-        for plane in time_planes:
-            differ |= plane ^ (plane >> shift)
-        adjacent.append((shift, both ^ (both & differ)))
-
     return PercolationTrace(
         dims=dims,
         r=r,
         seeds=seeds,
-        percolated=mask == full,
         steps_taken=t,
         final_mask=mask,
         time_planes=tuple(time_planes),
-        adjacent_masks=tuple(adjacent),
     )
 
 

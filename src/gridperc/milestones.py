@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Sequence
 
 from .engine import PercolationTrace
-from .grid import CELL_CAP, Cell, GridDims, text_mask
+from .grid import CELL_CAP, Cell, GridDims, mask_of_indices, text_mask
 
 RegionPredicate = Callable[[Cell], bool]
 
@@ -23,10 +24,10 @@ RegionPredicate = Callable[[Cell], bool]
 class Region:
     """A named set of cells given by a membership predicate.
 
-    A box region also carries its inclusive corners (lo, hi), which may reach
-    past the grid; extraction then reads it as a bitset, clipped to the
-    grid, against the trace's time planes instead of asking the predicate
-    cell by cell.
+    Extraction reads a region as a bitset.  A box region also carries its
+    inclusive corners (lo, hi), which may reach past the grid; its bitset is
+    built from its rows, clipped to the grid, without asking the predicate.
+    Any other region's bitset holds the cells its predicate admits.
     """
 
     name: str
@@ -64,20 +65,20 @@ class Milestone:
 def extract_milestones(trace: PercolationTrace, regions: Sequence[Region]) -> list[Milestone]:
     """Completion time per region, ordered by time (incomplete regions last).
 
-    A box region is read off the trace's bit planes: it is incomplete if it
-    meets a never-infected cell, and otherwise completes at the largest
-    time in it, taken plane by plane from the top.  A predicate region is
-    walked cell by cell over ``infection_time``.
+    Each region is a mask read off the trace's bit planes: it is incomplete
+    if it meets a never-infected cell, and otherwise completes at its
+    largest time, taken plane by plane from the top.  A box's mask comes
+    from its rows, a predicate region's from the cells the predicate admits.
     """
+    dims = trace.dims
+    n = dims.volume
     out = []
     for region in regions:
         if region.corners is None:
-            inside = region.predicate
-            run = [t for cell, t in zip(trace.dims.cells(), trace.infection_time) if inside(cell)]
-            time = None if None in run else max(run, default=0)
+            mask = mask_of_indices(n, compress(range(n), map(region.predicate, dims.cells())))
         else:
-            box = _box_mask(trace.dims, region.corners)
-            time = None if box & ~trace.final_mask else _max_time(trace.time_planes, box)
+            mask = _box_mask(dims, region.corners)
+        time = None if mask & ~trace.final_mask else _max_time(trace.time_planes, mask)
         out.append(Milestone(region.name, time))
     out.sort(key=lambda m: (m.time is None, m.time if m.time is not None else 0))
     return out

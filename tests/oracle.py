@@ -5,8 +5,9 @@ bitsets, no shift tricks.  Deliberately slow and obvious.  The exceptions are
 ``step``, the engine's ``step_mask`` on a cell set, which the engine tests
 compare against ``step_brute``, the small helpers after it that only the
 tests call (``count_planes``, ``from_indices``, ``issubset``, ``time_of``,
-``verify_all``), and ``percolate_bitset``, the traced engine with every step
-taken over the whole grid.
+``verify_all``), ``percolate_bitset``, the traced engine with every step
+taken over the whole grid, and ``same_step_masks``, a trace's same-step
+masks by one shift and XOR per time plane.
 """
 
 from __future__ import annotations
@@ -122,27 +123,34 @@ def percolate_bitset(dims: GridDims, r: int, seeds: CellSet, max_steps: int | No
                 time_planes[k] = plane | new
         mask = nxt
 
-    turned = mask ^ seeds.mask
-    adjacent = []
-    for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
-        if not up:
-            continue
-        both = turned & (turned & down) >> shift
-        differ = 0
-        for plane in time_planes:
-            differ |= plane ^ (plane >> shift)
-        adjacent.append((shift, both ^ (both & differ)))
-
     return PercolationTrace(
         dims=dims,
         r=r,
         seeds=seeds,
-        percolated=mask == full,
         steps_taken=t,
         final_mask=mask,
         time_planes=tuple(time_planes),
-        adjacent_masks=tuple(adjacent),
     )
+
+
+def same_step_masks(trace: PercolationTrace) -> tuple[tuple[int, int], ...]:
+    """The reference for ``PercolationTrace.adjacent_masks``: per axis of
+    length above 1 (z, y, x), the index step up the axis and the non-seeds
+    whose neighbour that step up turned too, with every time plane equal to
+    theirs, by one shift and XOR per plane."""
+    shifts = _axis_shifts(trace.dims)
+    turned = trace.final_mask ^ trace.seeds.mask
+    adjacent = []
+    for shift, down, up in zip(shifts[::3], shifts[1::3], shifts[2::3]):
+        if not up:
+            continue  # a length-1 axis
+        # non-seed pairs one step of shift apart whose time planes all agree
+        both = turned & (turned & down) >> shift
+        differ = 0
+        for plane in trace.time_planes:
+            differ |= plane ^ (plane >> shift)
+        adjacent.append((shift, both ^ (both & differ)))
+    return tuple(adjacent)
 
 
 def verify_all(catalog: Catalog) -> None:

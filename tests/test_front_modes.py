@@ -1,7 +1,9 @@
 """``percolate`` steps a narrow front cell by cell and a wide one as a bitset.
 
-Every trace field, the derived counts and excess included, must equal
-``oracle.percolate_bitset``, which takes every step over the whole grid.
+Every trace field, the derived counts, same-step masks and excess included,
+must equal ``oracle.percolate_bitset``, which takes every step over the
+whole grid, and the same-step masks must equal ``oracle.same_step_masks``,
+the eager pass over the reference's time planes.
 The inputs are chosen to enter the cell-by-cell mode: the thickness-1
 doubling, whose fronts shrink to four cells, single seeds whose fronts widen
 past the mode's limit, and corridors where one cell turns per step at each
@@ -12,13 +14,16 @@ really entered the mode.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridperc.engine
 from gridperc.combine import thickness1_entry
 from gridperc.engine import SimulationTruncated, percolate
 from gridperc.grid import CellSet, GridDims, neighbours
 
-from oracle import percolate_bitset
+from oracle import percolate_bitset, same_step_masks
+from test_trace_properties import PROPERTY, seeded_grids
 
 FIELDS = (
     "r", "seeds", "percolated", "steps_taken", "final_mask", "time_planes", "adjacent_masks",
@@ -48,6 +53,7 @@ def assert_matches_reference(dims, r, seeds, max_steps=None):
     want = percolate_bitset(dims, r, seeds, max_steps)
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
+    assert got.adjacent_masks == same_step_masks(want)
     return got
 
 
@@ -76,7 +82,7 @@ def test_doubling_and_its_perturbations_match_the_bitset_steps(phases):
 
 
 @pytest.mark.parametrize("sides", [(1, 127, 127), (4, 40, 40)])
-@pytest.mark.parametrize("r", range(-1, 8))
+@pytest.mark.parametrize("r", range(-1, 10))
 def test_single_seeds_match_the_bitset_steps(phases, sides, r):
     # a corner, the centre, and a cell on each side of each edge test the
     # cell-by-cell step makes for a neighbour
@@ -133,3 +139,11 @@ def test_counts_add_up_over_one_step(phases, r):
     trace = assert_matches_reference(dims, r, seeds)
     assert trace.infection_time[dims.index(centre)] == 1
     assert phases and phases[0][0] >= 1
+
+
+@settings(PROPERTY, max_examples=50)
+@given(seeded_grids(), st.integers(1, 4))
+def test_same_step_masks_match_the_eager_pass(grid, r):
+    dims, seeds = grid
+    trace = percolate(dims, r, seeds)
+    assert trace.adjacent_masks == same_step_masks(trace)

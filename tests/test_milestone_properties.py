@@ -1,9 +1,11 @@
-"""Box regions read off the time planes against per-cell references.
+"""Milestones read off the time planes against per-cell references.
 
-``Region.box``, ``Region.layer`` and ``Region.full`` carry their corners, and
-``extract_milestones`` reads them as bitsets against the trace's time planes
-and final mask; the same region given by its predicate alone is walked cell
-by cell over ``infection_time``.
+``extract_milestones`` reads every region as a bitset against the trace's
+time planes and final mask.  ``Region.box``, ``Region.layer`` and
+``Region.full`` carry their corners and build the bitset from their rows;
+a region given by its predicate alone builds it from the cells the
+predicate admits.  Both are held to each other and to a per-cell walk over
+the brute-force infection times.
 """
 
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gridperc.engine import percolate
 from gridperc.grid import CellSet, GridDims
 from gridperc.milestones import Region, extract_milestones
 
+from oracle import trace_brute
 from test_trace_properties import PROPERTY, seeded_grids
 
 # corners may lie outside a grid of sides <= 5, or cross each other
@@ -29,6 +32,36 @@ def test_box_regions_match_the_predicate_walk(grid, boxes):
     assert all(region.corners is not None for region in regions)
     walked = [Region(region.name, region.predicate) for region in regions]
     assert extract_milestones(trace, regions) == extract_milestones(trace, walked)
+
+
+def _predicate_regions(x, subset):
+    return [
+        Region("empty", lambda cell: False),
+        Region("parity", lambda cell: sum(cell) % 2 == 0),
+        Region("one layer", lambda cell: cell[0] == x),
+        Region("subset", subset.__contains__),
+    ]
+
+
+@settings(PROPERTY, max_examples=50)
+@given(seeded_grids(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_predicate_regions_match_a_per_cell_walk(grid, x, rng):
+    dims, seeds = grid
+    regions = _predicate_regions(x, {cell for cell in dims.cells() if rng.random() < 0.3})
+    times, _ = trace_brute(dims, 3, set(seeds.cells()))
+    want = {}
+    for region in regions:
+        run = [t for cell, t in zip(dims.cells(), times) if region.predicate(cell)]
+        want[region.name] = None if None in run else max(run, default=0)
+    trace = percolate(dims, 3, seeds)
+    assert {m.region: m.time for m in extract_milestones(trace, regions)} == want
+
+
+def test_predicate_regions_build_no_per_cell_times():
+    dims = GridDims(3, 4, 5)
+    trace = percolate(dims, 3, CellSet.from_cells(dims, [(1, 1, 1), (2, 2, 2), (3, 3, 3)]))
+    extract_milestones(trace, _predicate_regions(2, {(1, 1, 1), (3, 4, 5)}))
+    assert "infection_time" not in trace.__dict__
 
 
 def _long_traces():
